@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-ingest bench-serve bench-cache bench-query bench-snapshot bench-cluster bench-tiered bench-gate serve fmt-check fuzz soak ci
+.PHONY: build test bench-test race vet bench bench-ingest bench-serve bench-cache bench-query bench-snapshot bench-cluster bench-tiered bench-gate serve fmt-check fuzz soak ci
 
 # Per-target budget for `make fuzz`; CI uses 60s per target.
 FUZZTIME ?= 30s
@@ -13,6 +13,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The repo benchmark (bench/, BENCHMARK.json) is its own module, so
+# `go test ./...` at the root does not reach its unit tests.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # The race detector multiplies runtime ~10x, so restrict it to the internal
 # packages (where all shared mutable state lives) and the -short variants of
@@ -123,5 +128,5 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check build vet test race bench
+ci: fmt-check build vet test bench-test race bench
 	@echo "ci: all checks passed"

@@ -237,14 +237,14 @@ func BenchmarkFig7ParallelLookup(b *testing.B) {
 	}
 }
 
-// --- Sharded concurrent query engine: batch throughput ---
+// --- Concurrent query engine: batch throughput ---
 
-// BenchmarkQueryParallel drives the full query pipeline through
+// BenchmarkQueryBatch drives the full query pipeline through
 // Engine.QueryBatch at 1, 4 and GOMAXPROCS workers, reporting end-to-end
-// queries/sec. On a multicore host the sharded index structures let the
-// worker pool scale with cores; batch results stay byte-identical to the
+// queries/sec. Queries share nothing but the published read view, so on a
+// multicore host the worker pool scales with cores; batch results stay byte-identical to the
 // sequential path at every worker count (enforced by the core tests).
-func BenchmarkQueryParallel(b *testing.B) {
+func BenchmarkQueryBatch(b *testing.B) {
 	ds, qs := benchData(b)
 	eng := core.NewEngine(core.Config{})
 	if _, err := eng.Build(ds.Photos); err != nil {

@@ -24,8 +24,8 @@ type BatchResult struct {
 // a pool of workers (0 means GOMAXPROCS). Each worker pulls the next
 // unclaimed probe and runs the full single-query pipeline on it with one
 // scoring thread, so parallelism comes from query-level fan-out over the
-// sharded index structures rather than from splitting one query — the
-// serving shape of the paper's 500-concurrent-client evaluation.
+// shared read view rather than from splitting one query — the serving shape
+// of the paper's 500-concurrent-client evaluation.
 //
 // Results are deterministic: every query is processed exactly as a
 // sequential Query call would process it, so result IDs, scores and ranking
@@ -34,47 +34,18 @@ type BatchResult struct {
 // Per-query latency is recorded into lat when it is non-nil; failed queries
 // carry their error in the corresponding BatchResult and record no sample.
 func (e *Engine) QueryBatch(imgs []*simimg.Image, topK, workers int, lat *metrics.Histogram) []BatchResult {
-	out := make([]BatchResult, len(imgs))
-	if len(imgs) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(imgs) {
-		workers = len(imgs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(imgs) {
-					return
-				}
-				t0 := time.Now()
-				res, err := e.queryRecovering(imgs[i], topK)
-				d := time.Since(t0)
-				out[i] = BatchResult{Results: res, Err: err, Latency: d}
-				if err == nil && lat != nil {
-					lat.Record(d)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	return forEachProbe(len(imgs), workers, lat, func(i int) ([]SearchResult, error) {
+		return e.Query(imgs[i], topK)
+	})
 }
 
 // QuerySummary answers a prepared probe summary through the search back
 // half only (SA candidate collection, CHS fetch, ranking), skipping FE+SM
-// entirely. It returns the exact results a full Query of the originating
-// probe would return: Summarize + bloom.ToSparse + QuerySummary ≡ Query.
-// A summary with no set bits answers nil, matching the featureless-probe
-// rule of the full path.
+// entirely, with the given number of candidate-scoring workers (the
+// multicore path of Figure 7). It returns the exact results a full Query
+// of the originating probe would return, at every worker count: Summarize +
+// bloom.ToSparse + QuerySummary ≡ Query. A summary with no set bits answers
+// nil: a featureless probe has nothing to aggregate on.
 func (e *Engine) QuerySummary(ps *bloom.Sparse, topK, workers int) ([]SearchResult, error) {
 	if topK <= 0 {
 		return nil, fmt.Errorf("core: topK must be positive, got %d", topK)
@@ -93,15 +64,22 @@ func (e *Engine) QuerySummary(ps *bloom.Sparse, topK, workers int) ([]SearchResu
 // Results are positionally aligned and identical to per-summary
 // QuerySummary calls.
 func (e *Engine) QuerySummaryBatch(summaries []*bloom.Sparse, topK, workers int, lat *metrics.Histogram) []BatchResult {
-	out := make([]BatchResult, len(summaries))
-	if len(summaries) == 0 {
-		return out
-	}
+	return forEachProbe(len(summaries), workers, lat, func(i int) ([]SearchResult, error) {
+		return e.QuerySummary(summaries[i], topK, 1)
+	})
+}
+
+// forEachProbe runs query(i) for every i in [0, n) on a pool of workers
+// (0 means GOMAXPROCS), each pulling the next unclaimed index, and returns
+// the positionally aligned outcomes with per-query latency recorded into
+// lat when it is non-nil and the query succeeded.
+func forEachProbe(n, workers int, lat *metrics.Histogram, query func(i int) ([]SearchResult, error)) []BatchResult {
+	out := make([]BatchResult, n)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(summaries) {
-		workers = len(summaries)
+	if workers > n {
+		workers = n
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -111,11 +89,11 @@ func (e *Engine) QuerySummaryBatch(summaries []*bloom.Sparse, topK, workers int,
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(summaries) {
+				if i >= n {
 					return
 				}
 				t0 := time.Now()
-				res, err := e.querySummaryRecovering(summaries[i], topK)
+				res, err := recovering(query, i)
 				d := time.Since(t0)
 				out[i] = BatchResult{Results: res, Err: err, Latency: d}
 				if err == nil && lat != nil {
@@ -128,27 +106,16 @@ func (e *Engine) QuerySummaryBatch(summaries []*bloom.Sparse, topK, workers int,
 	return out
 }
 
-// querySummaryRecovering contains a panicking summary query the same way
-// queryRecovering contains a panicking probe query.
-func (e *Engine) querySummaryRecovering(ps *bloom.Sparse, topK int) (res []SearchResult, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("core: query panicked: %v", p)
-		}
-	}()
-	return e.QuerySummary(ps, topK, 1)
-}
-
-// queryRecovering runs one probe, converting a panic (e.g. from a
-// malformed image that slipped past upstream validation) into that probe's
+// recovering runs one query of a batch, converting a panic (e.g. from a
+// malformed image that slipped past upstream validation) into that query's
 // error. The panic would otherwise unwind a batch worker goroutine, where
 // no caller — in the serving tier, no net/http recover — can contain it,
 // taking down the whole process instead of one query.
-func (e *Engine) queryRecovering(img *simimg.Image, topK int) (res []SearchResult, err error) {
+func recovering(query func(i int) ([]SearchResult, error), i int) (res []SearchResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("core: query panicked: %v", p)
 		}
 	}()
-	return e.QueryParallel(img, topK, 1)
+	return query(i)
 }

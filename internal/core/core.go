@@ -171,9 +171,9 @@ func (c Config) withDefaults() Config {
 }
 
 // entry is the per-photo index record. words is the packed []uint64 image
-// of summary's set bits, precomputed at store time so the lock-free read
-// path scores candidates word-parallel (see view.go) without touching the
-// sparse form.
+// of summary's set bits, precomputed at store time so the read path scores
+// candidates word-parallel (see view.go) without touching the sparse form.
+// A zero entry (nil summary) is a deletion tombstone.
 type entry struct {
 	id      uint64
 	summary *bloom.Sparse
@@ -183,8 +183,8 @@ type entry struct {
 // simStripeCount is the number of independently updated SimCost counter
 // stripes (a power of two). Queries accumulate their charges in a local,
 // allocation-free scratch SimCost and flush it with one stripe visit, so
-// the former global simMu bottleneck is gone: concurrent queries touch
-// different stripes and never serialize on the accounting.
+// concurrent queries touch different stripes and never serialize on the
+// accounting.
 const simStripeCount = 8
 
 // simStripe is one cache-line-isolated slice of the simulated-cost
@@ -201,16 +201,18 @@ type simStripe struct {
 type Engine struct {
 	cfg Config
 
+	// mu serializes mutators and excludes them from readers of the live
+	// structures below; index and table have no locks of their own. table is
+	// the engine's only id → slot map (the paper's CHS addressing).
 	mu      sync.RWMutex
 	pcasift *feature.PCASIFT
 	index   *lsh.MinHash
 	table   *cuckoo.Flat
 	entries []entry // table values are indexes into this slice
-	byID    map[uint64]int
 
 	// view is the epoch-published immutable read snapshot (see view.go).
-	// Mutators rebuild or patch it under mu and publish with one atomic
-	// store; Query/QueryBatch read it without ever taking mu. basisGen
+	// Mutators publish the next one under mu with one atomic store;
+	// Query/QueryBatch read it without ever taking mu. basisGen
 	// counts PCA retrainings (guarded by mu) and keys the T1 summary cache
 	// so entries computed against a superseded basis can never be reused.
 	view     atomic.Pointer[readView]
@@ -246,7 +248,7 @@ type Engine struct {
 
 // NewEngine returns an unbuilt engine; Build must run before Query/Insert.
 func NewEngine(cfg Config) *Engine {
-	e := &Engine{cfg: cfg.withDefaults(), byID: make(map[uint64]int), ram: store.RAM()}
+	e := &Engine{cfg: cfg.withDefaults(), ram: store.RAM()}
 	e.ConfigureCache(e.cfg.SummaryCache, e.cfg.ResultCache)
 	return e
 }
@@ -287,7 +289,7 @@ func (e *Engine) Insert(p *simimg.Photo) error {
 	if err := e.storeLocked(p.ID, pr.sparse); err != nil {
 		return err
 	}
-	e.publishLocked(false, [][]uint32{pr.sparse.Bits}, []uint64{p.ID})
+	e.publishLocked()
 	return nil
 }
 
@@ -303,10 +305,9 @@ type prepared struct {
 
 // prepareSummary runs FE+SM for one image against the given trained basis.
 // It is the single implementation of the pipeline's read-only front half —
-// Insert, Build, BuildParallel and InsertBatch all go through it, so the
-// lock-free and locked ingest paths cannot drift. It reads no mutable
-// engine state, so callers may run it without holding the engine lock, from
-// any number of goroutines.
+// Insert, Build, BuildParallel and InsertBatch all go through it. It reads
+// no mutable engine state, so callers may run it without holding the engine
+// lock, from any number of goroutines.
 func (e *Engine) prepareSummary(pca *feature.PCASIFT, img *simimg.Image) (prepared, error) {
 	var pr prepared
 	// FE: interest points and PCA-SIFT descriptors.
@@ -335,24 +336,43 @@ func (e *Engine) prepareSummary(pca *feature.PCASIFT, img *simimg.Image) (prepar
 func (e *Engine) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.byID) + e.coldOnlyLocked()
+	return e.hotLenLocked() + len(e.coldOnlyLocked())
 }
 
-// coldOnlyLocked counts the live cold entries not also resident in RAM.
-// The two tiers are disjoint except inside the tiered/migrate crash window,
-// where a batch is briefly dual-resident; counting the cold side minus the
-// overlap keeps Len/Stats truthful even there.
-func (e *Engine) coldOnlyLocked() int {
-	if e.cold == nil {
+// hotLenLocked counts the live RAM-resident photos.
+func (e *Engine) hotLenLocked() int {
+	if e.table == nil {
 		return 0
 	}
-	n := 0
-	for _, id := range e.cold.AppendIDs(nil) {
-		if _, hot := e.byID[id]; !hot {
-			n++
+	return e.table.Len()
+}
+
+// slotLocked resolves a RAM-resident photo to its entry slot through the
+// flat table's read-only probe. Callers hold e.mu in either mode.
+func (e *Engine) slotLocked(id uint64) (int, bool) {
+	if e.table == nil {
+		return 0, false
+	}
+	r := e.table.LookupBatch([]uint64{id}, 1)[0]
+	return int(r.Value), r.Found
+}
+
+// coldOnlyLocked lists the live cold entries not also resident in RAM. The
+// two tiers are disjoint except inside the tiered/migrate crash window,
+// where a batch is briefly dual-resident; dropping the overlap keeps
+// Len/Stats/IDs truthful even there.
+func (e *Engine) coldOnlyLocked() []uint64 {
+	if e.cold == nil {
+		return nil
+	}
+	ids := e.cold.AppendIDs(nil)
+	only := ids[:0]
+	for i, r := range e.table.LookupBatch(ids, 1) {
+		if !r.Found {
+			only = append(only, ids[i])
 		}
 	}
-	return n
+	return only
 }
 
 // IDs returns the live photo IDs in ascending order, across both tiers.
@@ -361,15 +381,10 @@ func (e *Engine) coldOnlyLocked() int {
 // balance over a real corpus).
 func (e *Engine) IDs() []uint64 {
 	e.mu.RLock()
-	ids := make([]uint64, 0, len(e.byID))
-	for id := range e.byID {
-		ids = append(ids, id)
-	}
-	if e.cold != nil {
-		for _, id := range e.cold.AppendIDs(nil) {
-			if _, hot := e.byID[id]; !hot {
-				ids = append(ids, id)
-			}
+	ids := e.coldOnlyLocked()
+	for _, ent := range e.entries {
+		if ent.summary != nil {
+			ids = append(ids, ent.id)
 		}
 	}
 	e.mu.RUnlock()
@@ -439,37 +454,25 @@ func (e *Engine) summarizeUncached(img *simimg.Image) (*bloom.Filter, error) {
 // Search implements Pipeline; the geo hint is ignored (FAST is
 // content-based).
 func (e *Engine) Search(probe Probe, topK int) ([]SearchResult, error) {
-	return e.QueryParallel(probe.Img, topK, 1)
+	return e.Query(probe.Img, topK)
 }
 
-// Query answers a probe image with a single scoring worker.
+// Query answers a probe image: FE+SM on the probe, then QuerySummary with a
+// single scoring worker. The whole query runs against the published read
+// view without acquiring the engine lock (see view.go). With the cache
+// tiers enabled, a repeated raster hits the summary tier (skipping FE+SM)
+// and a repeated summary at an unchanged index epoch hits the result tier
+// (skipping the search as well); answers are byte-identical in all cases,
+// including against the locked reference path QueryUncached.
 func (e *Engine) Query(img *simimg.Image, topK int) ([]SearchResult, error) {
-	return e.QueryParallel(img, topK, 1)
-}
-
-// QueryParallel answers a probe with the given number of candidate-scoring
-// workers (0 means GOMAXPROCS). The whole query runs against the published
-// read view without acquiring the engine lock (see view.go): LSH candidates
-// come from the frozen band maps, are resolved through the frozen flat
-// table, and are scored word-parallel by packed-summary Jaccard similarity
-// across the workers — the multicore path of Figure 7, now free of reader/
-// writer contention. With the cache tiers enabled, a repeated raster hits
-// the summary tier (skipping FE+SM) and a repeated summary at an unchanged
-// index epoch hits the result tier (skipping the search as well); answers
-// are byte-identical in all cases, including against the locked reference
-// path QueryUncached.
-func (e *Engine) QueryParallel(img *simimg.Image, topK int, workers int) ([]SearchResult, error) {
 	if topK <= 0 {
 		return nil, fmt.Errorf("core: topK must be positive, got %d", topK)
 	}
-	probeSparse, err := e.probeSummary(img)
+	ps, err := e.probeSummary(img)
 	if err != nil {
 		return nil, err
 	}
-	if len(probeSparse.Bits) == 0 {
-		return nil, nil // featureless probe: nothing to aggregate on
-	}
-	return e.searchCached(probeSparse, topK, workers)
+	return e.QuerySummary(ps, topK, 1)
 }
 
 // queryScratch recycles the per-query allocations of searchSummary: the
@@ -494,22 +497,19 @@ type queryScratch struct {
 
 var queryScratchPool = sync.Pool{New: func() interface{} { return new(queryScratch) }}
 
-// searchSummary runs SA+CHS+ranking for a prepared probe summary under the
-// read lock and reports the index epoch its answer is valid for. It is the
-// single uncached implementation of the search back half; the cache tiers
-// and the uncached verification path both call it.
-func (e *Engine) searchSummary(probeSparse *bloom.Sparse, topK, workers int) ([]SearchResult, uint64, error) {
+// searchSummary runs SA+CHS+ranking for a prepared probe summary against
+// the live structures under the read lock, scoring by sparse merge. It is
+// the reference the published-view path (searchView) is verified against;
+// QueryUncached is its only production caller.
+func (e *Engine) searchSummary(probeSparse *bloom.Sparse, topK int) ([]SearchResult, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	// Mutations bump the epoch under the write lock, so the value read here
-	// labels exactly the index state this search observes.
-	epoch := e.epoch.Load()
 	if e.index == nil {
-		return nil, epoch, errors.New("core: engine not built")
+		return nil, errors.New("core: engine not built")
 	}
 	ids, err := e.index.Query(probeSparse.Bits)
 	if err != nil {
-		return nil, epoch, err
+		return nil, err
 	}
 	// With a populated cold tier the probe may still hit spilled entries
 	// even when every hot bucket came up empty.
@@ -519,7 +519,7 @@ func (e *Engine) searchSummary(probeSparse *bloom.Sparse, topK, workers int) ([]
 	}
 	coldActive := coldView.Len() > 0
 	if len(ids) == 0 && !coldActive {
-		return nil, epoch, nil
+		return nil, nil
 	}
 
 	sc := queryScratchPool.Get().(*queryScratch)
@@ -530,7 +530,7 @@ func (e *Engine) searchSummary(probeSparse *bloom.Sparse, topK, workers int) ([]
 	for i, id := range ids {
 		keys[i] = uint64(id)
 	}
-	slots := e.table.LookupBatch(keys, workers)
+	slots := e.table.LookupBatch(keys, 1)
 
 	// Charge the candidate summary fetches to the in-memory cost model
 	// (constant work per candidate: this is the O(1) flat addressing). The
@@ -548,39 +548,16 @@ func (e *Engine) searchSummary(probeSparse *bloom.Sparse, topK, workers int) ([]
 		sc.results = make([]SearchResult, len(ids))
 	}
 	results := sc.results[:len(ids)]
-	var wg sync.WaitGroup
-	nw := workers
-	if nw <= 0 {
-		nw = 1
-	}
-	chunk := (len(ids) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(ids) {
-			hi = len(ids)
+	for i, s := range slots {
+		results[i] = SearchResult{Score: -1}
+		if !s.Found {
+			continue
 		}
-		if lo >= hi {
-			break
+		ent := e.entries[s.Value]
+		if sim, err := bloom.JaccardSparse(probeSparse, ent.summary); err == nil {
+			results[i] = SearchResult{ID: ent.id, Score: sim}
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if !slots[i].Found {
-					results[i] = SearchResult{Score: -1}
-					continue
-				}
-				ent := e.entries[slots[i].Value]
-				sim, err := bloom.JaccardSparse(probeSparse, ent.summary)
-				if err != nil {
-					results[i] = SearchResult{Score: -1}
-					continue
-				}
-				results[i] = SearchResult{ID: ent.id, Score: sim}
-			}
-		}(lo, hi)
 	}
-	wg.Wait()
 
 	// Spill to the cold tier: scan the probe's band buckets on disk,
 	// skipping ids the hot probe already collected, so the union candidate
@@ -601,12 +578,12 @@ func (e *Engine) searchSummary(probeSparse *bloom.Sparse, topK, workers int) ([]
 		sc.bandKeys, err = e.index.AppendBandKeys(sc.bandKeys[:0], probeSparse.Bits)
 		if err != nil {
 			queryScratchPool.Put(sc)
-			return nil, epoch, err
+			return nil, err
 		}
 		if cap(sc.cwords) < wordN {
 			sc.cwords = make([]uint64, wordN)
 		}
-		results = appendColdHits(coldView, e.cold, sc.bandKeys, sc.pwords,
+		results = appendCold(coldView, e.cold, sc.bandKeys, sc.pwords, 1, e.cfg.MinScore, nil,
 			sc.seen, results, sc.cwords[:wordN], e.coldDisk, &qc)
 	}
 
@@ -647,7 +624,7 @@ func (e *Engine) searchSummary(probeSparse *bloom.Sparse, topK, workers int) ([]
 			var repWords []uint64
 			var repBits []uint32
 			var repM uint32
-			if slot, ok := e.byID[hit.ID]; ok {
+			if slot, ok := e.slotLocked(hit.ID); ok {
 				rep = e.entries[slot].summary
 				if len(rep.Bits) == 0 {
 					continue
@@ -675,16 +652,16 @@ func (e *Engine) searchSummary(probeSparse *bloom.Sparse, topK, workers int) ([]
 			if err != nil {
 				continue
 			}
+			keys = keys[:0]
 			for _, gid := range groupIDs {
-				id := uint64(gid)
-				if inResult[id] {
+				keys = append(keys, uint64(gid))
+			}
+			for i, gslot := range e.table.LookupBatch(keys, 1) {
+				id := keys[i]
+				if inResult[id] || !gslot.Found {
 					continue
 				}
-				gslot, ok := e.byID[id]
-				if !ok {
-					continue
-				}
-				g := &e.entries[gslot]
+				g := &e.entries[gslot.Value]
 				var sim float64
 				if rep != nil {
 					sim, err = bloom.JaccardSparse(rep, g.summary)
@@ -724,9 +701,8 @@ func (e *Engine) searchSummary(probeSparse *bloom.Sparse, topK, workers int) ([]
 				if cap(sc.cwords) < wordN {
 					sc.cwords = make([]uint64, wordN)
 				}
-				kept = appendColdMembers(coldView, e.cold, sc.gkeys, repWords,
-					hit.Score, e.cfg.MinScore, inResult, sc.gseen, kept,
-					sc.cwords[:wordN], e.coldDisk, &qc)
+				kept = appendCold(coldView, e.cold, sc.gkeys, repWords, hit.Score, e.cfg.MinScore, inResult,
+					sc.gseen, kept, sc.cwords[:wordN], e.coldDisk, &qc)
 			}
 		}
 		sortResults(kept)
@@ -742,9 +718,12 @@ func (e *Engine) searchSummary(probeSparse *bloom.Sparse, topK, workers int) ([]
 	if cap(kept) > cap(sc.results) {
 		sc.results = kept[:0]
 	}
+	if cap(keys) > cap(sc.keys) {
+		sc.keys = keys
+	}
 	queryScratchPool.Put(sc)
 	e.flushSim(qc)
-	return out, epoch, nil
+	return out, nil
 }
 
 // sortResults orders by descending score, then ascending ID for stability.
@@ -771,16 +750,20 @@ func less(a, b SearchResult) bool {
 func (e *Engine) IndexBytes() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	return e.indexBytesLocked()
+}
+
+// indexBytesLocked is the one definition of the resident index size, shared
+// by IndexBytes and Stats.
+func (e *Engine) indexBytesLocked() int64 {
 	var total int64
 	for _, ent := range e.entries {
-		if ent.summary == nil { // deletion tombstone
-			continue
+		if ent.summary != nil {
+			total += int64(ent.summary.SizeBytes())
 		}
-		total += int64(ent.summary.SizeBytes())
 	}
 	if e.index != nil {
-		st := e.index.Stats()
-		total += int64(st.TotalRefs) * 8
+		total += int64(e.index.Stats().TotalRefs) * 8
 	}
 	if e.table != nil {
 		total += int64(e.table.Cap()) * 16
@@ -797,8 +780,8 @@ type EngineStats struct {
 	Entries     int    // entry slots including deletion tombstones
 	Epoch       uint64 // epoch of the published lock-free read view
 	IndexBytes  int64  // resident index size (summaries + LSH refs + cuckoo cells)
-	LSHShards   int
-	TableShards int
+	LSHShards   int    // copy-on-write shards per LSH band
+	TableShards int    // copy-on-write shards of the flat table
 	Table       cuckoo.Stats
 	LSH         lsh.BucketStats
 	Sim         SimCost
@@ -806,40 +789,35 @@ type EngineStats struct {
 }
 
 // Stats returns a consistent aggregate of the engine's counters: photo and
-// tombstone counts, resident index size, lock-shard geometry and the
-// data-structure statistics the per-field accessors expose individually.
+// tombstone counts, resident index size, copy-on-write shard geometry and
+// the data-structure statistics the per-field accessors expose individually.
 func (e *Engine) Stats() EngineStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	hot := e.hotLenLocked()
 	st := EngineStats{
-		Built:   e.pcasift != nil,
-		Photos:  len(e.byID),
-		Entries: len(e.entries),
-		Epoch:   e.PublishedEpoch(),
-		Sim:     e.simLocked(),
-	}
-	for _, ent := range e.entries {
-		if ent.summary != nil {
-			st.IndexBytes += int64(ent.summary.SizeBytes())
-		}
+		Built:      e.pcasift != nil,
+		Photos:     hot,
+		Entries:    len(e.entries),
+		Epoch:      e.PublishedEpoch(),
+		IndexBytes: e.indexBytesLocked(),
+		Sim:        e.simLocked(),
 	}
 	if e.index != nil {
 		st.LSH = e.index.Stats()
 		st.LSHShards = e.index.Shards()
-		st.IndexBytes += int64(st.LSH.TotalRefs) * 8
 	}
 	if e.table != nil {
 		st.Table = e.table.Stats()
 		st.TableShards = e.table.Shards()
-		st.IndexBytes += int64(e.table.Cap()) * 16
 	}
 	if e.cold != nil {
 		cs := e.cold.Stats()
-		coldOnly := e.coldOnlyLocked()
+		coldOnly := len(e.coldOnlyLocked())
 		st.Photos += coldOnly // IndexBytes stays RAM-resident-only
 		st.Tiered = TieredStats{
 			Enabled:             true,
-			HotEntries:          len(e.byID),
+			HotEntries:          hot,
 			ColdEntries:         coldOnly,
 			Segments:            cs.Segments,
 			Tombstones:          cs.Tombstones,
@@ -865,8 +843,8 @@ func (e *Engine) TableStats() cuckoo.Stats {
 	return e.table.Stats()
 }
 
-// Shards reports the lock-shard counts of the two index structures (per
-// LSH band, and for the flat cuckoo table); (0, 0) before Build.
+// Shards reports the copy-on-write shard counts of the two index structures
+// (per LSH band, and for the flat cuckoo table); (0, 0) before Build.
 func (e *Engine) Shards() (lshShards, tableShards int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
+	"github.com/fastrepro/fast/internal/bloom"
+	"github.com/fastrepro/fast/internal/cuckoo"
 	"github.com/fastrepro/fast/internal/metrics"
 	"github.com/fastrepro/fast/internal/simimg"
 	"github.com/fastrepro/fast/internal/workload"
@@ -43,7 +47,40 @@ func testDatasetCached(t *testing.T) *workload.Dataset {
 	return cachedDS
 }
 
+var (
+	builtSnapOnce sync.Once
+	builtSnap     []byte // WriteTo image of the default engine over the test corpus
+)
+
+// builtEngine returns a private default-config engine over the test corpus.
+// Build spends ~1.5 s in FE on the 120 photos, so it runs once per test
+// binary; every caller gets its own engine restored from that build's
+// snapshot, which the round-trip tests pin as answering and serializing
+// identically. Tests about Build itself (BuildStats, epochs, retraining)
+// call Build directly.
 func builtEngine(t *testing.T, ds *workload.Dataset) *Engine {
+	t.Helper()
+	if ds.Spec != testDatasetCached(t).Spec {
+		return realBuild(t, ds)
+	}
+	builtSnapOnce.Do(func() {
+		var buf bytes.Buffer
+		if _, err := realBuild(t, ds).WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		builtSnap = buf.Bytes()
+	})
+	if builtSnap == nil {
+		t.Fatal("the shared engine build failed in an earlier test")
+	}
+	e, err := ReadEngine(bytes.NewReader(builtSnap))
+	if err != nil {
+		t.Fatalf("ReadEngine: %v", err)
+	}
+	return e
+}
+
+func realBuild(t *testing.T, ds *workload.Dataset) *Engine {
 	t.Helper()
 	e := NewEngine(Config{})
 	st, err := e.Build(ds.Photos)
@@ -200,16 +237,28 @@ func TestInsertAfterBuild(t *testing.T) {
 	}
 }
 
+// probeSparse runs FE+SM on img the way Query does and returns the summary
+// QuerySummary takes.
+func probeSparse(t testing.TB, e *Engine, img *simimg.Image) *bloom.Sparse {
+	t.Helper()
+	f, err := e.Summarize(img)
+	if err != nil {
+		t.Fatalf("Summarize: %v", err)
+	}
+	return bloom.ToSparse(f)
+}
+
 func TestQueryParallelMatchesSerial(t *testing.T) {
 	ds := testDataset(t)
 	e := builtEngine(t, ds)
 	qs, _ := ds.Queries(4, 8)
 	for _, q := range qs {
-		serial, err := e.QueryParallel(q.Probe, 50, 1)
+		ps := probeSparse(t, e, q.Probe)
+		serial, err := e.QuerySummary(ps, 50, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := e.QueryParallel(q.Probe, 50, 8)
+		parallel, err := e.QuerySummary(ps, 50, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,5 +362,49 @@ func TestGroupExpandDisabled(t *testing.T) {
 	}
 	if withExp == without {
 		t.Error("group expansion had no effect across 8 queries (suspicious)")
+	}
+}
+
+// TestIndexLayoutIgnoresHost builds the same corpus at two core counts: the
+// shard geometry, the flat table's placement work and the snapshot bytes
+// must not depend on the machine. TableCapacity is large enough for the
+// table to shard.
+func TestIndexLayoutIgnoresHost(t *testing.T) {
+	ds := testDatasetCached(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type layout struct {
+		lshShards, tableShards int
+		table                  cuckoo.Stats
+		snapshot               []byte
+	}
+	build := func(procs int) layout {
+		runtime.GOMAXPROCS(procs)
+		e := NewEngine(Config{TableCapacity: 1 << 15})
+		if _, err := e.Build(ds.Photos); err != nil {
+			t.Fatalf("Build at GOMAXPROCS=%d: %v", procs, err)
+		}
+		var l layout
+		l.lshShards, l.tableShards = e.Shards()
+		l.table = e.TableStats()
+		var buf bytes.Buffer
+		if _, err := e.WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		l.snapshot = buf.Bytes()
+		return l
+	}
+	one, four := build(1), build(4)
+	if one.lshShards != four.lshShards || one.tableShards != four.tableShards {
+		t.Errorf("Shards() = (%d, %d) at GOMAXPROCS=1, (%d, %d) at 4",
+			one.lshShards, one.tableShards, four.lshShards, four.tableShards)
+	}
+	if one.tableShards < 2 {
+		t.Errorf("table has %d shard(s); the test needs a sharded table", one.tableShards)
+	}
+	if one.table != four.table {
+		t.Errorf("TableStats differ across core counts:\n 1: %+v\n 4: %+v", one.table, four.table)
+	}
+	if !bytes.Equal(one.snapshot, four.snapshot) {
+		t.Error("WriteTo bytes differ across core counts")
 	}
 }

@@ -17,7 +17,7 @@ func (e *Engine) Delete(id uint64) error {
 	if e.index == nil {
 		return fmt.Errorf("core: engine not built")
 	}
-	slot, ok := e.byID[id]
+	slot, ok := e.slotLocked(id)
 	if !ok {
 		// Not resident: the photo may have been migrated to the cold tier,
 		// where deletion is a durable catalog tombstone (the record itself
@@ -29,7 +29,7 @@ func (e *Engine) Delete(id uint64) error {
 			}
 			if deleted {
 				e.epoch.Add(1)
-				e.publishLocked(false, nil, nil)
+				e.publishLocked()
 				return nil
 			}
 		}
@@ -46,13 +46,12 @@ func (e *Engine) Delete(id uint64) error {
 	}
 	// Tombstone copy-on-write: the entries backing array is shared with
 	// published read views, so the slot must not be cleared in place under a
-	// lock-free reader. Appends extend the shared array safely (they write
+	// concurrent query. Appends extend the shared array safely (they write
 	// past every published length); overwrites copy.
 	next := make([]entry, len(e.entries), cap(e.entries))
 	copy(next, e.entries)
 	next[slot] = entry{} // tombstone
 	e.entries = next
-	delete(e.byID, id)
 	// Dual residency (a migration interrupted between its cold publish and
 	// hot removal) must not resurrect the photo: tombstone the cold copy too.
 	if e.cold != nil && e.cold.Contains(id) {
@@ -61,11 +60,7 @@ func (e *Engine) Delete(id uint64) error {
 		}
 	}
 	e.epoch.Add(1) // retire result-cache entries computed before the delete
-	var sets [][]uint32
-	if sp != nil && len(sp.Bits) > 0 {
-		sets = [][]uint32{sp.Bits}
-	}
-	e.publishLocked(false, sets, []uint64{id})
+	e.publishLocked()
 	return nil
 }
 
@@ -73,7 +68,7 @@ func (e *Engine) Delete(id uint64) error {
 func (e *Engine) Contains(id uint64) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if _, ok := e.byID[id]; ok {
+	if _, ok := e.slotLocked(id); ok {
 		return true
 	}
 	return e.cold != nil && e.cold.Contains(id)
@@ -89,7 +84,7 @@ func (e *Engine) Compact() error {
 	if e.table == nil {
 		return fmt.Errorf("core: engine not built")
 	}
-	live := make([]entry, 0, len(e.byID))
+	live := make([]entry, 0, e.table.Len())
 	for _, ent := range e.entries {
 		if ent.summary != nil {
 			live = append(live, ent)
@@ -103,17 +98,14 @@ func (e *Engine) Compact() error {
 	if err != nil {
 		return err
 	}
-	byID := make(map[uint64]int, len(live))
 	for slot, ent := range live {
 		if err := table.Insert(ent.id, uint64(slot)); err != nil {
 			return fmt.Errorf("core: compacting entry %d: %w", ent.id, err)
 		}
-		byID[ent.id] = slot
 	}
 	e.entries = live
 	e.table = table
-	e.byID = byID
 	e.epoch.Add(1) // entry slots moved; cached results must not outlive them
-	e.publishLocked(true, nil, nil)
+	e.publishLocked()
 	return nil
 }

@@ -170,11 +170,11 @@ func (e *Engine) BuildParallel(photos []*simimg.Photo, workers int) (BuildStats,
 			st.SummaryTime += pr.summaryTime
 			return nil
 		})
-	// Publish once, from scratch: lock-free queries answer from the previous
-	// view for the whole build and switch to the complete new index in one
-	// step (on error the partially built state is published, matching what
-	// the locked path exposed after a failed Build).
-	e.publishLocked(true, nil, nil)
+	// Publish once: queries answer from the previous view for the whole
+	// build and switch to the complete new index in one step (on error the
+	// partially built state is published, which is what the locked reference
+	// path sees after a failed Build).
+	e.publishLocked()
 	return st, err
 }
 
@@ -206,7 +206,7 @@ func (e *Engine) InsertBatch(photos []*simimg.Photo, workers int) (BuildStats, e
 			e.mu.Lock()
 			err := e.storeLocked(photos[i].ID, pr.sparse)
 			if err == nil {
-				e.publishLocked(false, [][]uint32{pr.sparse.Bits}, []uint64{photos[i].ID})
+				e.publishLocked()
 			}
 			e.mu.Unlock()
 			if err != nil {
@@ -281,7 +281,6 @@ func (e *Engine) allocLocked(n int) error {
 	// published read view, and a rebuild must never overwrite slots a
 	// lock-free query is still reading.
 	e.entries = make([]entry, 0, n)
-	e.byID = make(map[uint64]int, n)
 	return nil
 }
 
@@ -290,10 +289,7 @@ func (e *Engine) allocLocked(n int) error {
 // produce empty summaries; they are stored in the flat table but cannot be
 // aggregated semantically), then flat cuckoo storage of the index record.
 func (e *Engine) storeLocked(id uint64, sparse *bloom.Sparse) error {
-	if _, dup := e.byID[id]; dup {
-		return fmt.Errorf("core: photo %d already indexed", id)
-	}
-	if e.cold != nil && e.cold.Contains(id) {
+	if _, dup := e.slotLocked(id); dup || (e.cold != nil && e.cold.Contains(id)) {
 		return fmt.Errorf("core: photo %d already indexed", id)
 	}
 	if len(sparse.Bits) > 0 {
@@ -305,10 +301,7 @@ func (e *Engine) storeLocked(id uint64, sparse *bloom.Sparse) error {
 	e.entries = append(e.entries, entry{id: id, summary: sparse, words: sparse.Packed()})
 	if err := e.table.Insert(id, uint64(slot)); err != nil {
 		// Roll the half-applied store back so every structure — LSH, entry
-		// slice, table, byID — agrees on the photo being absent. The read
-		// view resolves ids through the frozen table where the locked path
-		// uses byID; that equivalence requires the two never to disagree,
-		// even after a failed insert.
+		// slice, table — agrees on the photo being absent.
 		if len(sparse.Bits) > 0 {
 			e.index.Delete(lsh.ItemID(id), sparse.Bits)
 		}
@@ -316,7 +309,6 @@ func (e *Engine) storeLocked(id uint64, sparse *bloom.Sparse) error {
 		e.entries = e.entries[:slot]
 		return fmt.Errorf("flat table: %w", err)
 	}
-	e.byID[id] = slot
 	e.epoch.Add(1) // retire result-cache entries computed before the insert
 	e.chargeSim(e.ram.RandomWrite(int64(sparse.SizeBytes())), int64(sparse.SizeBytes()))
 	e.maybeKickColdLocked()

@@ -536,13 +536,12 @@ func readEntriesSection(br byteReader, cfg Config, pca *feature.PCASIFT) (*Engin
 		if err := e.table.Insert(re.id, uint64(slot)); err != nil {
 			return nil, fmt.Errorf("core: restoring entry %d: %w", i, err)
 		}
-		e.byID[re.id] = slot
 	}
 	// The restored engine is not shared yet, but queries may start the moment
 	// the caller hot-swaps it in; publish the initial read view now. basisGen
 	// starts at 1 so restored summaries key the T1 tier like built ones do.
 	e.basisGen++
-	e.publishLocked(true, nil, nil)
+	e.publishLocked()
 	return e, nil
 }
 

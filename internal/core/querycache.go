@@ -30,11 +30,11 @@ import (
 // cache size and around every mutation. querycache_test.go enforces it by
 // sweeping cached engines against QueryUncached.
 //
-// Epoch discipline: the T2 lookup key uses an epoch read *before* taking the
-// read lock, but the computed result is stored under the epoch observed
-// *inside* the read lock (searchSummary reports it). If a mutation slips in
-// between, the result is filed under the state it actually saw and the
-// optimistic lookup key simply never gets an entry. A hit on a
+// Epoch discipline: the T2 lookup key uses the engine epoch read *before*
+// the search, but the computed result is stored under the epoch of the view
+// the search actually ran against (searchView reports it). If a mutation
+// slips in between, the result is filed under the state it actually saw and
+// the optimistic lookup key simply never gets an entry. A hit on a
 // concurrently-stale key is still linearizable — the mutation overlapped
 // the query, so answering from the pre-mutation state is a legal ordering —
 // and once the engine quiesces, a bumped epoch makes every old entry
@@ -160,8 +160,6 @@ func (e *Engine) searchCached(ps *bloom.Sparse, topK, workers int) ([]SearchResu
 	// Miss: singleflight the computation per optimistic key, but store the
 	// result under the epoch the search actually observed (see the epoch
 	// discipline note above) — which is why this is Do+Add, not GetOrCompute.
-	// searchView reports its view's epoch, which plays the same role the
-	// under-lock epoch read played: it labels exactly the state searched.
 	v, _, err := rc.Do(base.Derive(uint64(topK), e.epoch.Load()), func() ([]SearchResult, error) {
 		out, epoch, err := e.searchView(ps, topK, workers)
 		if err != nil {
@@ -191,6 +189,5 @@ func (e *Engine) QueryUncached(img *simimg.Image, topK int) ([]SearchResult, err
 	if len(ps.Bits) == 0 {
 		return nil, nil
 	}
-	out, _, err := e.searchSummary(ps, topK, 1)
-	return out, err
+	return e.searchSummary(ps, topK)
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/fastrepro/fast/internal/bloom"
 	"github.com/fastrepro/fast/internal/metrics"
 	"github.com/fastrepro/fast/internal/simimg"
 )
@@ -18,6 +19,10 @@ func TestConcurrentQueriesAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sums := make([]*bloom.Sparse, len(qs))
+	for i, q := range qs {
+		sums[i] = probeSparse(t, e, q.Probe)
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 6; w++ {
@@ -27,7 +32,7 @@ func TestConcurrentQueriesAndStats(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				switch w % 3 {
 				case 0:
-					if _, err := e.QueryParallel(qs[i%len(qs)].Probe, 30, 2); err != nil {
+					if _, err := e.QuerySummary(sums[i%len(sums)], 30, 2); err != nil {
 						errs <- err
 						return
 					}

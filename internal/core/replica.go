@@ -26,7 +26,7 @@ import (
 func (e *Engine) SummaryOf(id uint64) (*bloom.Sparse, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	slot, ok := e.byID[id]
+	slot, ok := e.slotLocked(id)
 	if !ok {
 		return nil, false
 	}
@@ -39,8 +39,7 @@ func (e *Engine) SummaryOf(id uint64) (*bloom.Sparse, bool) {
 // front half. It is only sound between engines built from one trained
 // basis; mixing bases silently degrades answers, so callers (the ring
 // migration path) must guarantee the precondition. The entry becomes
-// visible to the lock-free read path before InsertSummary returns, exactly
-// like Insert.
+// visible to queries before InsertSummary returns, exactly like Insert.
 func (e *Engine) InsertSummary(id uint64, s *bloom.Sparse) error {
 	if s == nil {
 		return errors.New("core: nil summary")
@@ -54,6 +53,6 @@ func (e *Engine) InsertSummary(id uint64, s *bloom.Sparse) error {
 	if err := e.storeLocked(id, cp); err != nil {
 		return fmt.Errorf("core: adopting summary for %d: %w", id, err)
 	}
-	e.publishLocked(false, [][]uint32{cp.Bits}, []uint64{id})
+	e.publishLocked()
 	return nil
 }

@@ -95,7 +95,7 @@ func (e *Engine) EnableColdTier(dir string, watermark, batch int) ([]string, err
 	e.cfg.ColdDir, e.cfg.ColdWatermark, e.cfg.ColdBatch = dir, watermark, batch
 	e.reconcileColdLocked()
 	e.epoch.Add(1) // answers now cover the union corpus
-	e.publishLocked(true, nil, nil)
+	e.publishLocked()
 	e.startCompactorLocked()
 	// A snapshot-bootstrapped hot tier may already be over the watermark:
 	// start draining now rather than waiting for the first insert.
@@ -155,7 +155,7 @@ func (e *Engine) AdoptColdTier(old *Engine) error {
 	e.cfg.ColdDir, e.cfg.ColdWatermark, e.cfg.ColdBatch = dir, wm, batch
 	e.reconcileColdLocked()
 	e.epoch.Add(1)
-	e.publishLocked(true, nil, nil)
+	e.publishLocked()
 	e.startCompactorLocked()
 	// A restored hot tier may exceed the watermark immediately (the
 	// snapshot's corpus is independent of the adopted tier's history).
@@ -175,7 +175,7 @@ func (e *Engine) CloseColdTier() error {
 	e.coldStop, e.coldDone, e.coldKick = nil, nil, nil
 	if cold != nil {
 		e.epoch.Add(1)
-		e.publishLocked(true, nil, nil)
+		e.publishLocked()
 	}
 	e.mu.Unlock()
 	if stop != nil {
@@ -202,10 +202,11 @@ func (e *Engine) ColdStats() tiered.Stats {
 // reconcileColdLocked finishes interrupted migrations: any id the durable
 // cold catalog owns is removed from the hot structures.
 func (e *Engine) reconcileColdLocked() {
-	var dup []uint64
-	for _, id := range e.cold.AppendIDs(nil) {
-		if _, ok := e.byID[id]; ok {
-			dup = append(dup, id)
+	ids := e.cold.AppendIDs(nil)
+	dup := ids[:0]
+	for i, r := range e.table.LookupBatch(ids, 1) {
+		if r.Found {
+			dup = append(dup, ids[i])
 		}
 	}
 	if len(dup) == 0 {
@@ -214,23 +215,21 @@ func (e *Engine) reconcileColdLocked() {
 	e.removeHotLocked(dup)
 }
 
-// removeHotLocked drops ids from the LSH index, the flat table, the entry
-// storage (copy-on-write tombstones, one pass) and byID. Callers republish.
+// removeHotLocked drops ids from the LSH index, the flat table and the entry
+// storage (copy-on-write tombstones, one pass). Callers republish.
 func (e *Engine) removeHotLocked(ids []uint64) {
 	next := make([]entry, len(e.entries), cap(e.entries))
 	copy(next, e.entries)
-	for _, id := range ids {
-		slot, ok := e.byID[id]
-		if !ok {
+	for i, r := range e.table.LookupBatch(ids, 1) {
+		if !r.Found {
 			continue
 		}
-		sp := next[slot].summary
+		sp := next[r.Value].summary
 		if sp != nil && len(sp.Bits) > 0 {
-			e.index.Delete(lsh.ItemID(id), sp.Bits)
+			e.index.Delete(lsh.ItemID(ids[i]), sp.Bits)
 		}
-		e.table.Delete(id)
-		delete(e.byID, id)
-		next[slot] = entry{}
+		e.table.Delete(ids[i])
+		next[r.Value] = entry{}
 	}
 	e.entries = next
 }
@@ -250,7 +249,7 @@ func (e *Engine) startCompactorLocked() {
 // maybeKickColdLocked nudges the compactor when the hot tier is over its
 // watermark; non-blocking, so the ingest path never waits on migration.
 func (e *Engine) maybeKickColdLocked() {
-	if e.coldKick == nil || len(e.byID) <= e.cfg.ColdWatermark {
+	if e.coldKick == nil || e.table.Len() <= e.cfg.ColdWatermark {
 		return
 	}
 	select {
@@ -274,7 +273,7 @@ func (e *Engine) coldCompactor(cold *tiered.Store, kick, stop, done chan struct{
 		}
 		for {
 			e.mu.RLock()
-			hot, wm, batch := len(e.byID), e.cfg.ColdWatermark, e.cfg.ColdBatch
+			hot, wm, batch := e.hotLenLocked(), e.cfg.ColdWatermark, e.cfg.ColdBatch
 			e.mu.RUnlock()
 			if hot <= wm {
 				break
@@ -352,7 +351,7 @@ func (e *Engine) MigrateCold(max int) (int, error) {
 	}
 	e.removeHotLocked(ids)
 	e.epoch.Add(1)
-	e.publishLocked(true, nil, nil)
+	e.publishLocked()
 	return len(batch), nil
 }
 
@@ -391,24 +390,28 @@ func (e *Engine) CompactColdTier() error {
 		return err
 	}
 	e.epoch.Add(1) // conservative: cached results reference nothing stale, but cheap
-	e.publishLocked(true, nil, nil)
+	e.publishLocked()
 	return nil
 }
 
-// appendColdHits scans every probed cold bucket — the probe's band keys
-// against every live segment — and appends one scored candidate per live,
-// unseen posting. seen is the hot candidate set, so dual-resident ids and
+// appendCold scans every probed cold bucket — keys against every live
+// segment — and appends one candidate per live, unseen posting that scores
+// at least minScore against words, at weight·similarity. seen holds the
+// hot candidates the caller already collected, so dual-resident ids and
 // cross-bucket duplicates score exactly once; the owner check skips stale
-// postings (tombstoned or superseded records). Scores are the same
-// word-parallel Jaccard the hot path computes over the same packed words.
-// Every probed bucket is one modeled seek + sequential transfer. No
-// closures, no allocations beyond dst growth.
-func appendColdHits(cv *tiered.View, coldStore *tiered.Store, bandKeys, probeWords []uint64,
-	seen map[lsh.ItemID]struct{}, dst []SearchResult, scratch []uint64,
-	disk store.DiskModel, qc *SimCost) []SearchResult {
+// postings (tombstoned or superseded records). The probe's own spill
+// passes weight 1 and no exclude set; group expansion passes the
+// representative's probe score and the ids already in the result, which
+// are skipped and extended. Scores are the same word-parallel Jaccard the
+// hot path computes over the same packed words. Every probed bucket is one
+// modeled seek + sequential transfer. No closures, no allocations beyond
+// dst growth.
+func appendCold(cv *tiered.View, coldStore *tiered.Store, keys, words []uint64,
+	weight, minScore float64, exclude map[uint64]bool, seen map[lsh.ItemID]struct{},
+	dst []SearchResult, scratch []uint64, disk store.DiskModel, qc *SimCost) []SearchResult {
 	var probes, recs, bytes int64
 	segs := cv.Segments()
-	for b, key := range bandKeys {
+	for b, key := range keys {
 		for si := range segs {
 			p := segs[si].Bucket(b, key)
 			n := p.Len()
@@ -429,7 +432,17 @@ func appendColdHits(cv *tiered.View, coldStore *tiered.Store, bandKeys, probeWor
 					continue
 				}
 				seen[lsh.ItemID(id)] = struct{}{}
-				dst = append(dst, SearchResult{ID: id, Score: bloom.JaccardPacked(probeWords, p.Words(i, scratch))})
+				if exclude != nil && exclude[id] {
+					continue
+				}
+				sim := bloom.JaccardPacked(words, p.Words(i, scratch))
+				if sim < minScore {
+					continue
+				}
+				if exclude != nil {
+					exclude[id] = true
+				}
+				dst = append(dst, SearchResult{ID: id, Score: weight * sim})
 			}
 		}
 	}
@@ -437,54 +450,4 @@ func appendColdHits(cv *tiered.View, coldStore *tiered.Store, bandKeys, probeWor
 		coldStore.NoteSpill(probes, recs, bytes)
 	}
 	return dst
-}
-
-// appendColdMembers is the group-expansion form of the cold spill: scan the
-// representative's cold buckets and append qualifying groupmates. gseen
-// already holds the hot groupmates (AppendQuery filled it), so the same map
-// dedups cold cross-bucket repeats and dual residents; inResult and the
-// minScore filter mirror the hot member loop exactly, as does the
-// hit.Score·sim member scoring.
-func appendColdMembers(cv *tiered.View, coldStore *tiered.Store, repKeys, repWords []uint64,
-	hitScore, minScore float64, inResult map[uint64]bool, gseen map[lsh.ItemID]struct{},
-	kept []SearchResult, scratch []uint64, disk store.DiskModel, qc *SimCost) []SearchResult {
-	var probes, recs, bytes int64
-	segs := cv.Segments()
-	for b, key := range repKeys {
-		for si := range segs {
-			p := segs[si].Bucket(b, key)
-			n := p.Len()
-			if n == 0 {
-				continue
-			}
-			probes++
-			recs += int64(n)
-			bb := p.Bytes()
-			bytes += bb
-			qc.charge(disk.RandomRead(bb), bb)
-			for i := 0; i < n; i++ {
-				id := p.ID(i)
-				if !cv.Owns(id, si) {
-					continue
-				}
-				if _, dup := gseen[lsh.ItemID(id)]; dup {
-					continue
-				}
-				gseen[lsh.ItemID(id)] = struct{}{}
-				if inResult[id] {
-					continue
-				}
-				sim := bloom.JaccardPacked(repWords, p.Words(i, scratch))
-				if sim < minScore {
-					continue
-				}
-				inResult[id] = true
-				kept = append(kept, SearchResult{ID: id, Score: hitScore * sim})
-			}
-		}
-	}
-	if coldStore != nil {
-		coldStore.NoteSpill(probes, recs, bytes)
-	}
-	return kept
 }

@@ -90,7 +90,7 @@ func assertTieredIdentical(t *testing.T, stage string, got, oracle *Engine, prob
 		}
 		// The locked reference path must spill identically — it is the
 		// oracle other equivalence tests compare the lock-free view against.
-		ref, _, err := got.searchSummary(ps, 60, 1)
+		ref, err := got.searchSummary(ps, 60)
 		if err != nil {
 			t.Fatalf("%s: probe %d locked path: %v", stage, pi, err)
 		}

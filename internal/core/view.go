@@ -14,28 +14,24 @@ import (
 
 // The epoch-published read path.
 //
-// Queries used to take Engine.mu.RLock for the whole SA+CHS back half,
-// which made them contend with writers (Insert/Delete hold the write lock),
-// with snapshot I/O (WriteTo holds the read lock for the full serialization)
-// and with each other (RWMutex reader counts bounce between cores). The
-// engine now follows RCU discipline instead:
+// Queries never take Engine.mu. The engine follows RCU discipline:
 //
 //   - readView is an immutable snapshot of everything a query needs: the
-//     trained basis, a frozen lsh.View, a frozen cuckoo.View, and the entry
-//     slice. Nothing reachable from a published readView is ever written
-//     again.
+//     trained basis, an lsh.View, a cuckoo.View, and the entry slice.
+//     Nothing reachable from a published readView is ever written again.
 //   - Mutators (Insert, InsertBatch's committer, Delete, Compact, Build,
-//     snapshot restore) still serialize on Engine.mu, build or patch the
-//     next view while holding it, and publish with a single atomic pointer
-//     store. Point mutations patch — they re-freeze only the band shards
-//     and table shard the mutated key touches and share the rest with the
-//     previous view — while structural changes (Build, Compact, restore)
-//     freeze from scratch.
+//     migration, snapshot restore) serialize on Engine.mu, change the live
+//     SA/CHS structures, and call publishLocked, which snapshots both and
+//     publishes with a single atomic pointer store. The structures track
+//     which of their shards a mutation touched, so a point mutation
+//     re-copies one table shard and one shard per band and shares the rest
+//     with the previous view, while a replaced structure (Build, Compact,
+//     restore) has no previous snapshot and is copied whole. No mutator
+//     tells publishLocked what it changed.
 //   - Query/QueryBatch load the pointer once and run entirely against that
 //     snapshot: no lock acquisition, no write to any shared structure, no
 //     waiting on ingest. A query overlapping a mutation answers from the
-//     pre-mutation state, which is a legal linearization (the same one the
-//     old locked path could produce when the query won the lock race).
+//     pre-mutation state, which is a legal linearization.
 //
 // Memory reclamation is the garbage collector's: superseded views stay
 // alive exactly as long as some in-flight query still holds the pointer,
@@ -55,8 +51,8 @@ type readView struct {
 	epoch    uint64           // index-mutation epoch this view materializes
 	basisGen uint64           // retraining generation of pca (T1 cache keying)
 	pca      *feature.PCASIFT // trained basis (read-only)
-	index    *lsh.View        // frozen band maps
-	table    *cuckoo.View     // frozen flat table
+	index    *lsh.View        // SA snapshot
+	table    *cuckoo.View     // CHS snapshot
 	entries  []entry          // slot storage; shared, never written in place
 	minScore float64          // cfg snapshot, so a view is self-contained
 	expand   int              // cfg.GroupExpand
@@ -72,31 +68,21 @@ type readView struct {
 	coldDisk  store.DiskModel // cost model for cold bucket scans
 }
 
-// publishLocked derives the next readView from the engine's mutable
-// structures and publishes it. Callers hold e.mu (write). full forces a
-// from-scratch freeze (after Build/Compact/restore replace the structures);
-// otherwise sets/keys name the LSH element sets and table keys the mutation
-// touched, and only those shards are re-frozen.
-func (e *Engine) publishLocked(full bool, sets [][]uint32, keys []uint64) {
+// publishLocked snapshots the engine's mutable structures into the next
+// readView and publishes it. Callers hold e.mu (write) and call it after
+// every mutation, whatever the mutation was: the SA and CHS structures know
+// which of their shards changed since their last snapshot.
+func (e *Engine) publishLocked() {
 	if e.pcasift == nil || e.index == nil || e.table == nil {
 		e.view.Store(nil)
 		return
-	}
-	prev := e.view.Load()
-	var lv *lsh.View
-	var tv *cuckoo.View
-	if full || prev == nil {
-		lv, tv = e.index.Freeze(), e.table.Freeze()
-	} else {
-		lv = e.index.Refreeze(prev.index, sets...)
-		tv = e.table.Refreeze(prev.table, keys...)
 	}
 	next := &readView{
 		epoch:    e.epoch.Load(),
 		basisGen: e.basisGen,
 		pca:      e.pcasift,
-		index:    lv,
-		table:    tv,
+		index:    e.index.Snapshot(),
+		table:    e.table.Snapshot(),
 		entries:  e.entries,
 		minScore: e.cfg.MinScore,
 		expand:   e.cfg.GroupExpand,
@@ -260,7 +246,7 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 		if cap(sc.cwords) < len(probeWords) {
 			sc.cwords = make([]uint64, len(probeWords))
 		}
-		results = appendColdHits(v.cold, v.coldStore, sc.bandKeys, probeWords,
+		results = appendCold(v.cold, v.coldStore, sc.bandKeys, probeWords, 1, v.minScore, nil,
 			sc.seen, results, sc.cwords[:len(probeWords)], v.coldDisk, &qc)
 	}
 
@@ -274,8 +260,7 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 	sortResults(kept)
 
 	// Group expansion against the same view (see searchSummary for the
-	// rationale); member lookups go through the frozen table, which holds
-	// exactly the live id → slot mapping byID holds.
+	// rationale).
 	if v.expand > 0 {
 		if sc.inResult == nil {
 			sc.inResult = make(map[uint64]bool, len(kept))
@@ -363,9 +348,8 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 				if cap(sc.cwords) < len(probeWords) {
 					sc.cwords = make([]uint64, len(probeWords))
 				}
-				kept = appendColdMembers(v.cold, v.coldStore, sc.gkeys, repWords,
-					hit.Score, v.minScore, inResult, sc.gseen, kept,
-					sc.cwords[:len(probeWords)], v.coldDisk, &qc)
+				kept = appendCold(v.cold, v.coldStore, sc.gkeys, repWords, hit.Score, v.minScore, inResult,
+					sc.gseen, kept, sc.cwords[:len(probeWords)], v.coldDisk, &qc)
 			}
 		}
 		sortResults(kept)

@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"github.com/fastrepro/fast/internal/bloom"
+	"github.com/fastrepro/fast/internal/failpoint"
 	"github.com/fastrepro/fast/internal/simimg"
 )
 
-// The lock-free view invariant: QueryParallel (published-view path,
-// word-parallel scoring) answers byte-identically to QueryUncached (locked
+// The read-view invariant: Query and QuerySummary (published-view path,
+// word-parallel scoring) answer byte-identically to QueryUncached (locked
 // reference path, sparse-merge scoring) — at every worker count, through
 // every mutation, and around a snapshot round trip.
 
@@ -24,10 +25,16 @@ func assertViewMatchesLocked(t *testing.T, e *Engine, img *simimg.Image, topK in
 	if err != nil {
 		t.Fatalf("%s: QueryUncached: %v", label, err)
 	}
+	got, err := e.Query(img, topK)
+	if err != nil {
+		t.Fatalf("%s: Query: %v", label, err)
+	}
+	sameResults(t, label+"/Query", got, want)
+	ps := probeSparse(t, e, img)
 	for _, workers := range []int{1, 2, 8} {
-		got, err := e.QueryParallel(img, topK, workers)
+		got, err := e.QuerySummary(ps, topK, workers)
 		if err != nil {
-			t.Fatalf("%s: QueryParallel(workers=%d): %v", label, workers, err)
+			t.Fatalf("%s: QuerySummary(workers=%d): %v", label, workers, err)
 		}
 		sameResults(t, fmt.Sprintf("%s/workers=%d", label, workers), got, want)
 	}
@@ -41,55 +48,183 @@ func TestViewMatchesLockedPath(t *testing.T) {
 	}
 }
 
-// TestViewMatchesLockedThroughMutations interleaves inserts, deletes, a
-// compaction and a rebuild with equivalence checks: after every mutation the
-// published view must answer exactly like the locked path again.
+// TestViewMatchesLockedThroughMutations runs every kind of mutator in turn.
+// No mutator tells the publish step what it changed, so after each one the
+// published view must answer exactly like the locked path again, and a view
+// loaded before the step must still answer as it did (snapshot isolation).
 func TestViewMatchesLockedThroughMutations(t *testing.T) {
 	ds := testDataset(t)
-	e := builtEngine(t, ds)
-	probe := ds.Photos[3].Img
+	tiered := builtEngine(t, ds)
+	if _, err := tiered.EnableColdTier(t.TempDir(), 0, 0); err != nil {
+		t.Fatalf("EnableColdTier: %v", err)
+	}
+	defer tiered.CloseColdTier()
 
-	assertViewMatchesLocked(t, e, probe, 15, "initial")
-
-	// Point inserts.
-	for i := 0; i < 4; i++ {
-		p := ds.FreshPhoto(uint64(910_000+i), int64(40+i))
-		if err := e.Insert(p); err != nil {
-			t.Fatalf("Insert: %v", err)
+	probes := []*simimg.Image{ds.Photos[3].Img, ds.Photos[40].Img, ds.Photos[77].Img}
+	fresh := func(id uint64) *simimg.Photo { return ds.FreshPhoto(id, int64(id%89)) }
+	insert := func(id uint64) func(*testing.T, *Engine) *Engine {
+		return func(t *testing.T, e *Engine) *Engine {
+			p := fresh(id)
+			if err := e.Insert(p); err != nil {
+				t.Fatalf("Insert: %v", err)
+			}
+			probes = append(probes, p.Img) // from here on, also probe the inserted photo
+			return e
 		}
-		assertViewMatchesLocked(t, e, probe, 15, fmt.Sprintf("after insert %d", i))
-		assertViewMatchesLocked(t, e, p.Img, 15, fmt.Sprintf("probe inserted %d", i))
 	}
-
-	// Point deletes, including a photo the probe likely retrieves.
-	for i, id := range []uint64{ds.Photos[3].ID, ds.Photos[10].ID, 910_001} {
-		if err := e.Delete(id); err != nil {
-			t.Fatalf("Delete(%d): %v", id, err)
+	remove := func(id func(*Engine) uint64) func(*testing.T, *Engine) *Engine {
+		return func(t *testing.T, e *Engine) *Engine {
+			if err := e.Delete(id(e)); err != nil {
+				t.Fatalf("Delete: %v", err)
+			}
+			return e
 		}
-		assertViewMatchesLocked(t, e, probe, 15, fmt.Sprintf("after delete %d", i))
+	}
+	hot := func(id uint64) func(*Engine) uint64 {
+		return func(e *Engine) uint64 {
+			if e.cold.Contains(id) {
+				t.Fatalf("photo %d is not hot", id)
+			}
+			return id
+		}
+	}
+	steps := []struct {
+		name string
+		run  func(*testing.T, *Engine) *Engine
+	}{
+		{"insert 0", insert(910_000)},
+		{"insert 1", insert(910_001)},
+		{"insert 2", insert(910_002)},
+		{"insert 3", insert(910_003)},
+		{"insert summary", func(t *testing.T, e *Engine) *Engine {
+			p := fresh(915_000)
+			if err := e.InsertSummary(p.ID, probeSparse(t, e, p.Img)); err != nil {
+				t.Fatalf("InsertSummary: %v", err)
+			}
+			probes = append(probes, p.Img)
+			return e
+		}},
+		{"failed insert", func(t *testing.T, e *Engine) *Engine {
+			failpoint.Enable(failpoint.CuckooInsertFull, failpoint.Policy{Action: failpoint.Error, Times: 1})
+			defer failpoint.Disable(failpoint.CuckooInsertFull)
+			p := fresh(916_000)
+			if err := e.Insert(p); err == nil {
+				t.Fatal("Insert succeeded under cuckoo/insert-full")
+			}
+			if e.Contains(p.ID) {
+				t.Fatal("a failed insert left the photo indexed")
+			}
+			return e
+		}},
+		// Point deletes, including a photo the first probe retrieves.
+		{"delete hot 0", remove(hot(ds.Photos[3].ID))},
+		{"delete hot 1", remove(hot(ds.Photos[10].ID))},
+		{"delete hot 2", remove(hot(910_001))},
+		// Id 0 is the flat table's empty-cell marker: it is never indexed,
+		// and asking for it must not reach another photo's slot.
+		{"reserved id 0", func(t *testing.T, e *Engine) *Engine {
+			n := e.Len()
+			if err := e.Delete(0); err == nil {
+				t.Error("Delete(0) succeeded")
+			}
+			if e.Contains(0) {
+				t.Error("Contains(0) = true")
+			}
+			if sp, ok := e.SummaryOf(0); ok {
+				t.Errorf("SummaryOf(0) = %v, true", sp)
+			}
+			if got := e.Len(); got != n {
+				t.Errorf("Len() = %d after Delete(0), want %d", got, n)
+			}
+			return e
+		}},
+		{"migrate cold", func(t *testing.T, e *Engine) *Engine {
+			if n, err := e.MigrateCold(40); err != nil || n != 40 {
+				t.Fatalf("MigrateCold = %d, %v", n, err)
+			}
+			return e
+		}},
+		{"delete cold", remove(func(e *Engine) uint64 { return e.cold.AppendIDs(nil)[0] })},
+		// Compact rebuilds entry slots and the flat table.
+		{"compact", func(t *testing.T, e *Engine) *Engine {
+			if err := e.Compact(); err != nil {
+				t.Fatalf("Compact: %v", err)
+			}
+			return e
+		}},
+		{"compact cold tier", func(t *testing.T, e *Engine) *Engine {
+			if err := e.CompactColdTier(); err != nil {
+				t.Fatalf("CompactColdTier: %v", err)
+			}
+			return e
+		}},
+		// Batch insert through the staged pipeline.
+		{"insert batch", func(t *testing.T, e *Engine) *Engine {
+			batch := make([]*simimg.Photo, 5)
+			for i := range batch {
+				batch[i] = fresh(uint64(920_000 + i))
+			}
+			if _, err := e.InsertBatch(batch, 3); err != nil {
+				t.Fatalf("InsertBatch: %v", err)
+			}
+			return e
+		}},
+		// The restored engine carries the hot tier only; the steps after it
+		// run on the restored engine.
+		{"read engine", func(t *testing.T, e *Engine) *Engine {
+			var buf bytes.Buffer
+			if _, err := e.WriteTo(&buf); err != nil {
+				t.Fatalf("WriteTo: %v", err)
+			}
+			r, err := ReadEngine(&buf)
+			if err != nil {
+				t.Fatalf("ReadEngine: %v", err)
+			}
+			return r
+		}},
+		// Rebuild retrains the basis and swaps every structure.
+		{"rebuild", func(t *testing.T, e *Engine) *Engine {
+			if _, err := e.Build(ds.Photos); err != nil {
+				t.Fatalf("rebuild: %v", err)
+			}
+			return e
+		}},
 	}
 
-	// Compact rebuilds entry slots and the flat table.
-	if err := e.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
+	answers := func(e *Engine) [][]SearchResult {
+		out := make([][]SearchResult, len(probes))
+		for i, img := range probes {
+			res, err := e.Query(img, 15)
+			if err != nil {
+				t.Fatalf("Query: %v", err)
+			}
+			out[i] = res
+		}
+		return out
 	}
-	assertViewMatchesLocked(t, e, probe, 15, "after compact")
+	e := tiered
+	for i, img := range probes {
+		assertViewMatchesLocked(t, e, img, 15, fmt.Sprintf("initial/probe %d", i))
+	}
+	for _, st := range steps {
+		old := e.view.Load()
+		before := answers(e)
+		next := st.run(t, e)
 
-	// Batch insert through the staged pipeline.
-	batch := make([]*simimg.Photo, 5)
-	for i := range batch {
-		batch[i] = ds.FreshPhoto(uint64(920_000+i), int64(60+i))
-	}
-	if _, err := e.InsertBatch(batch, 3); err != nil {
-		t.Fatalf("InsertBatch: %v", err)
-	}
-	assertViewMatchesLocked(t, e, probe, 15, "after batch insert")
+		// Re-ask the view loaded before the step (caches are off, so Query
+		// reads nothing but the published view).
+		cur := e.view.Swap(old)
+		after := answers(e)
+		e.view.Store(cur)
+		for i := range before {
+			sameResults(t, fmt.Sprintf("pre-%s view/probe %d", st.name, i), after[i], before[i])
+		}
 
-	// Rebuild retrains the basis and swaps every structure.
-	if _, err := e.Build(ds.Photos); err != nil {
-		t.Fatalf("rebuild: %v", err)
+		e = next
+		for i, img := range probes {
+			assertViewMatchesLocked(t, e, img, 15, fmt.Sprintf("after %s/probe %d", st.name, i))
+		}
 	}
-	assertViewMatchesLocked(t, e, probe, 15, "after rebuild")
 }
 
 // TestViewMatchesLockedAfterSnapshotRoundTrip verifies a restored engine
@@ -137,6 +272,10 @@ func TestViewEquivalenceUnderChurn(t *testing.T) {
 
 	// Probes that the churn never touches.
 	stable := []*simimg.Image{ds.Photos[1].Img, ds.Photos[5].Img, ds.Photos[9].Img}
+	stableSums := make([]*bloom.Sparse, len(stable))
+	for i, img := range stable {
+		stableSums[i] = probeSparse(t, e, img)
+	}
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -148,8 +287,7 @@ func TestViewEquivalenceUnderChurn(t *testing.T) {
 		go func(workers int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				img := stable[i%len(stable)]
-				res, err := e.QueryParallel(img, 10, workers)
+				res, err := e.QuerySummary(stableSums[i%len(stableSums)], 10, workers)
 				if err != nil {
 					t.Errorf("query(workers=%d): %v", workers, err)
 					return

@@ -135,6 +135,37 @@ func TestFlatInsertLookupDelete(t *testing.T) {
 	}
 }
 
+// TestFlatKeyZeroMisses: key 0 marks an empty cell, so no operation on the
+// live table or a snapshot may mistake an empty cell for it.
+func TestFlatKeyZeroMisses(t *testing.T) {
+	tb, _ := NewFlat(1<<14, DefaultNeighborhood, 0, 1) // large enough to shard
+	for k := uint64(1); k <= 50; k++ {
+		if err := tb.Insert(k, k); err != nil {
+			t.Fatalf("Insert(%d): %v", k, err)
+		}
+	}
+	if err := tb.Insert(0, 1); err == nil {
+		t.Error("Insert(0) must be rejected")
+	}
+	for i := 0; i < 2; i++ {
+		if tb.Delete(0) {
+			t.Error("Delete(0) = true")
+		}
+	}
+	if _, ok := tb.Lookup(0); ok {
+		t.Error("Lookup(0) found an empty cell")
+	}
+	if r := tb.LookupBatch([]uint64{0, 7}, 1); r[0].Found || !r[1].Found {
+		t.Errorf("LookupBatch([0 7]) = %+v", r)
+	}
+	if _, ok := tb.Snapshot().Lookup(0); ok {
+		t.Error("snapshot Lookup(0) found an empty cell")
+	}
+	if tb.Len() != 50 {
+		t.Errorf("Len = %d after key-0 operations, want 50", tb.Len())
+	}
+}
+
 func TestFlatUpdateInPlace(t *testing.T) {
 	tb, _ := NewFlat(64, 2, 0, 1)
 	_ = tb.Insert(9, 1)

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"github.com/fastrepro/fast/internal/failpoint"
-	"github.com/fastrepro/fast/internal/shard"
 )
 
 // Flat is FAST's flat-structured cuckoo table with adjacent neighboring
@@ -18,53 +17,56 @@ import (
 // independent, which is what exposes the query parallelism Figure 7
 // exploits on multicore machines.
 //
-// Concurrency: the cell array is partitioned into independently locked
-// sub-tables (shards, a power of two near GOMAXPROCS). A key's shard is
+// Concurrency: a Flat is a single-writer structure with no locks of its
+// own. Insert, Delete, Lookup (it updates the probe counters) and Snapshot
+// need exclusive access; LookupBatch, Len, Stats and Range only read and
+// may run concurrently with each other but not with a writer (the engine's
+// mutex provides both). Readers that must not wait for writers use a
+// Snapshot, which any number of goroutines may read without
+// synchronization.
+//
+// The cell array is partitioned into sub-tables (shards). A key's shard is
 // derived from a hash independent of its in-shard home buckets, so both
-// homes, all neighbor cells and any kick chain stay within one shard — a
-// single lock acquisition per operation, and operations on different shards
-// never contend. Small tables collapse to one shard (sharding a few
-// thousand cells would only raise the load variance).
+// homes, all neighbor cells and any kick chain stay within one shard. A
+// shard is the copy-on-write granule of Snapshot: a mutation marks the one
+// shard it touches, and the next Snapshot re-copies only marked shards.
 type Flat struct {
-	shards []flatShard
-	nu     int // neighborhood width ν
+	shards   []flatShard
+	nu       int   // neighborhood width ν
+	maxKicks int   // displacement budget per insert
+	snap     *View // the last Snapshot; unmarked shards are shared with the next
 }
 
-// flatShard is one independently locked sub-table.
+// flatShard is one sub-table.
 type flatShard struct {
-	mu       sync.RWMutex
-	cells    []KeyValue
-	stash    []KeyValue // overflow for items whose kick chain exhausted
-	mask     uint64
-	n        int
-	nu       int
-	maxKicks int
-	rng      *rand.Rand
-	stats    Stats
+	cells []KeyValue
+	stash []KeyValue // overflow for items whose kick chain exhausted
+	mask  uint64
+	n     int
+	rng   *rand.Rand
+	stats Stats
+	dirty bool // mutated since the last Snapshot
 }
 
 // DefaultNeighborhood is the ν used by the FAST prototype experiments.
 const DefaultNeighborhood = 4
 
-// flatShardMinCells is the smallest per-shard cell count the automatic
-// policy allows: below this, hashing imbalance across shards would push
-// individual shards to materially higher load factors than the table-wide
-// average (raising the rehash probability the flat design exists to
-// suppress), and the lock being split buys nothing.
-const flatShardMinCells = 4096
+// The shard count is a function of the table size alone: one shard per
+// flatShardMinCells cells, at most flatMaxShards. Below flatShardMinCells
+// per shard, hashing imbalance across shards would push individual shards
+// to materially higher load factors than the table-wide average (raising
+// the rehash probability the flat design exists to suppress); above
+// flatMaxShards the per-mutation copy is already a sixteenth of the table
+// and more shards only add bookkeeping.
+const (
+	flatShardMinCells = 4096
+	flatMaxShards     = 16
+)
 
 // NewFlat creates a flat-structured table with at least capacity cells.
 // neighborhood < 0 is invalid; 0 degenerates to standard two-home cuckoo
-// (useful for ablations). maxKicks 0 selects DefaultMaxKicks. The shard
-// count is chosen automatically (see NewFlatShards).
+// (useful for ablations). maxKicks 0 selects DefaultMaxKicks.
 func NewFlat(capacity, neighborhood, maxKicks int, seed int64) (*Flat, error) {
-	return NewFlatShards(capacity, neighborhood, maxKicks, seed, 0)
-}
-
-// NewFlatShards is NewFlat with an explicit shard count: a power of two,
-// or 0 to derive it from GOMAXPROCS and the table size. Each shard must
-// keep more cells than the neighborhood width.
-func NewFlatShards(capacity, neighborhood, maxKicks int, seed int64, shards int) (*Flat, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("cuckoo: capacity must be positive, got %d", capacity)
 	}
@@ -78,55 +80,69 @@ func NewFlatShards(capacity, neighborhood, maxKicks int, seed int64, shards int)
 	if neighborhood >= size {
 		return nil, fmt.Errorf("cuckoo: neighborhood %d >= table size %d", neighborhood, size)
 	}
-	if shards == 0 {
-		shards = shard.Count(size, flatShardMinCells)
-	}
-	if shards < 1 || shards&(shards-1) != 0 {
-		return nil, fmt.Errorf("cuckoo: shard count %d is not a power of two", shards)
-	}
+	shards := min(max(size/flatShardMinCells, 1), flatMaxShards)
+	// Each shard must keep more cells than the neighborhood width.
 	for shards > 1 && size/shards <= neighborhood {
 		shards >>= 1
 	}
-	perShard := size / shards
-	if perShard < 2 {
-		perShard = 2
-	}
-	t := &Flat{shards: make([]flatShard, shards), nu: neighborhood}
+	t := &Flat{shards: make([]flatShard, shards), nu: neighborhood, maxKicks: maxKicks}
 	for s := range t.shards {
 		sh := &t.shards[s]
-		sh.cells = make([]KeyValue, perShard)
-		sh.mask = uint64(perShard - 1)
-		sh.nu = neighborhood
-		sh.maxKicks = maxKicks
+		sh.cells = make([]KeyValue, size/shards)
+		sh.mask = uint64(size/shards - 1)
 		sh.rng = rand.New(rand.NewSource(seed + int64(s)*0x9e3779b9))
 	}
 	return t, nil
 }
 
-// shardOf returns the sub-table responsible for key. The shard hash stream
-// is independent of the in-shard home hashes (hashPair), so partitioning
-// does not correlate with bucket placement.
-func (t *Flat) shardOf(key uint64) *flatShard {
-	if len(t.shards) == 1 {
-		return &t.shards[0]
+// shardIndex returns the sub-table responsible for key among n (a power of
+// two). The shard hash stream is independent of the in-shard home hashes
+// (hashPair) and uses the high bits, so partitioning does not correlate
+// with bucket placement.
+func shardIndex(key uint64, n int) int {
+	return int(mix(key^0x94d049bb133111eb) >> 48 & uint64(n-1))
+}
+
+// probe examines key's constant-width candidate set — each home followed by
+// its ν neighbors — and then the stash. It returns the cell holding key
+// (nil when absent) and the number of cells examined; more than 2(ν+1)
+// means the hit is in the stash. Key 0 marks an empty cell and is never
+// stored, so it misses without examining any. probe writes nothing, so it
+// serves the live table and its snapshots alike.
+func probe(cells, stash []KeyValue, mask uint64, nu int, key uint64) (*KeyValue, int) {
+	if key == 0 {
+		return nil, 0
 	}
-	return &t.shards[shard.Index(mix(key^0x94d049bb133111eb), len(t.shards))]
+	b1, b2 := hashPair(key, mask)
+	for d := 0; d <= nu; d++ {
+		if c := &cells[(b1+uint64(d))&mask]; c.Key == key {
+			return c, d + 1
+		}
+	}
+	for d := 0; d <= nu; d++ {
+		if c := &cells[(b2+uint64(d))&mask]; c.Key == key {
+			return c, nu + d + 2
+		}
+	}
+	for i := range stash {
+		if stash[i].Key == key {
+			return &stash[i], 2*(nu+1) + i + 1
+		}
+	}
+	return nil, 2*(nu+1) + len(stash)
 }
 
 // Neighborhood returns ν.
 func (t *Flat) Neighborhood() int { return t.nu }
 
-// Shards returns the number of independently locked sub-tables.
+// Shards returns the number of copy-on-write sub-tables.
 func (t *Flat) Shards() int { return len(t.shards) }
 
 // Len returns the number of stored entries.
 func (t *Flat) Len() int {
 	n := 0
 	for s := range t.shards {
-		sh := &t.shards[s]
-		sh.mu.RLock()
-		n += sh.n
-		sh.mu.RUnlock()
+		n += t.shards[s].n
 	}
 	return n
 }
@@ -140,10 +156,7 @@ func (t *Flat) Cap() int {
 func (t *Flat) Stats() Stats {
 	var total Stats
 	for s := range t.shards {
-		sh := &t.shards[s]
-		sh.mu.RLock()
-		st := sh.stats
-		sh.mu.RUnlock()
+		st := &t.shards[s].stats
 		total.Inserts += st.Inserts
 		total.Failures += st.Failures
 		total.Kicks += st.Kicks
@@ -165,68 +178,31 @@ func (t *Flat) LoadFactor() float64 {
 // ProbeWidth returns the constant number of cells a lookup examines.
 func (t *Flat) ProbeWidth() int { return 2 * (t.nu + 1) }
 
-// probeCells yields the candidate cell indices for key within the shard:
-// each home followed by its ν neighbors.
-func (sh *flatShard) probeCells(key uint64) []uint64 {
+// candidateCells yields the cell indices an insertion of key may use within
+// the shard: each home followed by its ν neighbors.
+func (sh *flatShard) candidateCells(key uint64, nu int) []uint64 {
 	b1, b2 := hashPair(key, sh.mask)
-	cells := make([]uint64, 0, 2*(sh.nu+1))
-	for d := 0; d <= sh.nu; d++ {
+	cells := make([]uint64, 0, 2*(nu+1))
+	for d := 0; d <= nu; d++ {
 		cells = append(cells, (b1+uint64(d))&sh.mask)
 	}
-	for d := 0; d <= sh.nu; d++ {
+	for d := 0; d <= nu; d++ {
 		cells = append(cells, (b2+uint64(d))&sh.mask)
 	}
 	return cells
 }
 
-// Lookup probes the constant-width candidate set. It takes the shard's
-// write lock because it updates the probe statistics; for contention-free
-// concurrent reads use LookupBatch, which skips the counters.
+// Lookup probes the constant-width candidate set and counts the work in
+// Stats; LookupBatch is the read-only form.
 func (t *Flat) Lookup(key uint64) (uint64, bool) {
-	sh := t.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.lookupLocked(key)
-}
-
-func (sh *flatShard) lookupLocked(key uint64) (uint64, bool) {
+	sh := &t.shards[shardIndex(key, len(t.shards))]
+	kv, examined := probe(sh.cells, sh.stash, sh.mask, t.nu, key)
 	sh.stats.Lookups++
-	for _, c := range sh.probeCells(key) {
-		sh.stats.Probes++
-		if sh.cells[c].Key == key {
-			return sh.cells[c].Value, true
-		}
+	sh.stats.Probes += examined
+	if kv == nil {
+		return 0, false
 	}
-	for i := range sh.stash {
-		sh.stats.Probes++
-		if sh.stash[i].Key == key {
-			return sh.stash[i].Value, true
-		}
-	}
-	return 0, false
-}
-
-// lookupRead is the counter-free read-only probe used by LookupBatch.
-func (sh *flatShard) lookupRead(key uint64) (uint64, bool) {
-	b1, b2 := hashPair(key, sh.mask)
-	for d := 0; d <= sh.nu; d++ {
-		c := (b1 + uint64(d)) & sh.mask
-		if sh.cells[c].Key == key {
-			return sh.cells[c].Value, true
-		}
-	}
-	for d := 0; d <= sh.nu; d++ {
-		c := (b2 + uint64(d)) & sh.mask
-		if sh.cells[c].Key == key {
-			return sh.cells[c].Value, true
-		}
-	}
-	for i := range sh.stash {
-		if sh.stash[i].Key == key {
-			return sh.stash[i].Value, true
-		}
-	}
-	return 0, false
+	return kv.Value, true
 }
 
 // Insert stores (key, value). The placement strategy is:
@@ -239,47 +215,29 @@ func (t *Flat) Insert(key, value uint64) error {
 	if key == 0 {
 		return errors.New("cuckoo: key 0 is reserved")
 	}
-	sh := t.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.insertLocked(key, value)
-}
-
-func (sh *flatShard) insertLocked(key, value uint64) error {
+	sh := &t.shards[shardIndex(key, len(t.shards))]
+	sh.dirty = true
+	// Replace in place. (Only the caller's key can already be present: a
+	// displaced victim is in hand, not in the table.)
+	if kv, _ := probe(sh.cells, sh.stash, sh.mask, t.nu, key); kv != nil {
+		kv.Value = value
+		return nil
+	}
 	cur := KeyValue{Key: key, Value: value}
 	chain := 0
-	for i := 0; i <= sh.maxKicks; i++ {
-		cells := sh.probeCells(cur.Key)
-		if chain == 0 {
-			// Replace in place. (A displaced victim's key is never present
-			// in the table — it is in hand — so this only applies before
-			// the first eviction.)
-			for _, c := range cells {
-				if sh.cells[c].Key == cur.Key {
-					sh.cells[c].Value = cur.Value
-					return nil
-				}
-			}
-			for i := range sh.stash {
-				if sh.stash[i].Key == cur.Key {
-					sh.stash[i].Value = cur.Value
-					return nil
-				}
-			}
-			// Failpoint: simulate kick-chain exhaustion for a genuinely new
-			// key, driving the stash/rehash machinery without needing a
-			// pathologically full table.
-			if failpoint.Eval(failpoint.CuckooInsertFull) != nil {
-				break
-			}
-		}
+	// Failpoint: simulate kick-chain exhaustion for a genuinely new key,
+	// driving the stash/rehash machinery without needing a pathologically
+	// full table.
+	full := failpoint.Eval(failpoint.CuckooInsertFull) != nil
+	for i := 0; i <= t.maxKicks && !full; i++ {
+		cells := sh.candidateCells(cur.Key, t.nu)
 		// Empty cell anywhere in the flat neighborhood.
 		for ci, c := range cells {
 			if sh.cells[c].Key == 0 {
 				sh.cells[c] = cur
 				sh.n++
 				sh.stats.Inserts++
-				if ci != 0 && ci != sh.nu+1 {
+				if ci != 0 && ci != t.nu+1 {
 					sh.stats.NeighborHits++
 				}
 				if chain > sh.stats.MaxChain {
@@ -288,7 +246,7 @@ func (sh *flatShard) insertLocked(key, value uint64) error {
 				return nil
 			}
 		}
-		if i == sh.maxKicks {
+		if i == t.maxKicks {
 			break
 		}
 		// Evict a pseudo-random candidate and continue with the victim.
@@ -303,39 +261,33 @@ func (sh *flatShard) insertLocked(key, value uint64) error {
 	sh.n++
 	sh.stats.Inserts++
 	sh.stats.Failures++
-	return fmt.Errorf("%w: key %d after %d kicks", ErrTableFull, cur.Key, sh.maxKicks)
+	return fmt.Errorf("%w: key %d after %d kicks", ErrTableFull, cur.Key, t.maxKicks)
 }
 
 // Delete removes key if present.
 func (t *Flat) Delete(key uint64) bool {
-	sh := t.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, c := range sh.probeCells(key) {
-		if sh.cells[c].Key == key {
-			sh.cells[c] = KeyValue{}
-			sh.n--
-			return true
-		}
+	sh := &t.shards[shardIndex(key, len(t.shards))]
+	kv, examined := probe(sh.cells, sh.stash, sh.mask, t.nu, key)
+	if kv == nil {
+		return false
 	}
-	for i := range sh.stash {
-		if sh.stash[i].Key == key {
-			sh.stash[i] = sh.stash[len(sh.stash)-1]
-			sh.stash = sh.stash[:len(sh.stash)-1]
-			sh.n--
-			return true
-		}
+	if examined > t.ProbeWidth() { // in the stash: swap-remove
+		*kv = sh.stash[len(sh.stash)-1]
+		sh.stash = sh.stash[:len(sh.stash)-1]
+	} else {
+		*kv = KeyValue{}
 	}
-	return false
+	sh.n--
+	sh.dirty = true
+	return true
 }
 
-// LookupBatch resolves many keys concurrently using up to workers
-// goroutines (0 means GOMAXPROCS). Results are positionally aligned with
-// keys; missing keys yield (0, false). This is the multicore parallel-query
-// path of Figure 7: every lookup touches a constant, independent set of
-// cells inside one shard, so worker goroutines only serialize when two keys
-// land on the same shard at the same instant, and throughput scales nearly
-// linearly with cores.
+// LookupBatch resolves many keys using up to workers goroutines (0 means
+// GOMAXPROCS; one worker runs on the calling goroutine). Results are
+// positionally aligned with keys; missing keys yield (0, false). This is
+// the multicore parallel-query path of Figure 7: every lookup touches a
+// constant, independent set of cells and writes nothing shared, so
+// throughput scales nearly linearly with cores.
 func (t *Flat) LookupBatch(keys []uint64, workers int) []LookupResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -344,34 +296,26 @@ func (t *Flat) LookupBatch(keys []uint64, workers int) []LookupResult {
 		workers = len(keys)
 	}
 	results := make([]LookupResult, len(keys))
-	if len(keys) == 0 {
+	lookup := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sh := &t.shards[shardIndex(keys[i], len(t.shards))]
+			if kv, _ := probe(sh.cells, sh.stash, sh.mask, t.nu, keys[i]); kv != nil {
+				results[i] = LookupResult{Value: kv.Value, Found: true}
+			}
+		}
+	}
+	if workers <= 1 {
+		lookup(0, len(keys))
 		return results
 	}
 	var wg sync.WaitGroup
 	chunk := (len(keys) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < len(keys); lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				// Probe without touching shared stats (read-only scan).
-				sh := t.shardOf(keys[i])
-				sh.mu.RLock()
-				v, ok := sh.lookupRead(keys[i])
-				sh.mu.RUnlock()
-				if ok {
-					results[i] = LookupResult{Value: v, Found: true}
-				}
-			}
-		}(lo, hi)
+			lookup(lo, hi)
+		}(lo, min(lo+chunk, len(keys)))
 	}
 	wg.Wait()
 	return results

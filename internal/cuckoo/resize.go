@@ -8,27 +8,21 @@ import (
 )
 
 // Range calls fn for every stored entry; iteration stops if fn returns
-// false. Shards are visited in order, each under its read lock; the table
-// must not be mutated from within fn.
+// false. Shards are visited in order; the table must not be mutated from
+// within fn.
 func (t *Flat) Range(fn func(key, value uint64) bool) {
 	for s := range t.shards {
 		sh := &t.shards[s]
-		sh.mu.RLock()
 		for _, c := range sh.cells {
-			if c.Key != 0 {
-				if !fn(c.Key, c.Value) {
-					sh.mu.RUnlock()
-					return
-				}
+			if c.Key != 0 && !fn(c.Key, c.Value) {
+				return
 			}
 		}
 		for _, c := range sh.stash {
 			if !fn(c.Key, c.Value) {
-				sh.mu.RUnlock()
 				return
 			}
 		}
-		sh.mu.RUnlock()
 	}
 }
 

@@ -1,109 +1,53 @@
 package cuckoo
 
-import "github.com/fastrepro/fast/internal/shard"
+import "slices"
 
-// View is an immutable, lock-free snapshot of a Flat table. Every shard's
-// cells and stash are deep-copied at freeze time, so a View observes one
-// consistent placement and is safe for concurrent use without any lock —
-// the flat design's constant-width independent probes then run with zero
-// synchronization, which is what the engine's epoch-published read path
-// needs from the CHS module.
+// View is an immutable snapshot of a Flat table. Every shard's cells and
+// stash are deep copies, so a View observes one consistent placement and
+// any number of goroutines may probe it without synchronization — the flat
+// design's constant-width independent probes then run with no coordination
+// at all.
 type View struct {
 	shards []*viewShard
 	nu     int
-	n      int
 }
 
 // viewShard is one frozen sub-table. Shard pointers are shared across
-// successive Views when the shard did not change (see Refreeze).
+// successive Views when the shard did not change (see Snapshot).
 type viewShard struct {
 	cells []KeyValue
 	stash []KeyValue
 	mask  uint64
 }
 
-// freezeShard deep-copies one live shard under its read lock.
-func (t *Flat) freezeShard(s int) *viewShard {
-	sh := &t.shards[s]
-	sh.mu.RLock()
-	vs := &viewShard{
-		cells: append([]KeyValue(nil), sh.cells...),
-		mask:  sh.mask,
-	}
-	if len(sh.stash) > 0 {
-		vs.stash = append([]KeyValue(nil), sh.stash...)
-	}
-	sh.mu.RUnlock()
-	return vs
-}
-
-// Freeze snapshots the whole table into a fresh View.
-func (t *Flat) Freeze() *View {
-	v := &View{shards: make([]*viewShard, len(t.shards)), nu: t.nu, n: t.Len()}
+// Snapshot returns an immutable view of the table as it stands. Each shard
+// mutated since the previous Snapshot is copied exactly once; every other
+// shard is shared with that snapshot. This is sound because a Flat
+// operation never escapes its key's shard: both homes, all neighbor cells,
+// the whole kick chain and the stash live inside one sub-table. Like
+// Insert and Delete it needs exclusive access to the table.
+func (t *Flat) Snapshot() *View {
+	prev := t.snap
+	v := &View{shards: make([]*viewShard, len(t.shards)), nu: t.nu}
 	for s := range t.shards {
-		v.shards[s] = t.freezeShard(s)
+		sh := &t.shards[s]
+		if prev != nil && !sh.dirty {
+			v.shards[s] = prev.shards[s]
+			continue
+		}
+		v.shards[s] = &viewShard{cells: slices.Clone(sh.cells), stash: slices.Clone(sh.stash), mask: sh.mask}
+		sh.dirty = false
 	}
+	t.snap = v
 	return v
 }
-
-// Refreeze produces the next View after the given keys were inserted,
-// updated or deleted, re-copying only the shards that own those keys and
-// sharing every untouched frozen shard with prev. This is sound because a
-// Flat operation never escapes its key's shard: both homes, all neighbor
-// cells, the whole kick chain and the stash live inside one sub-table. A
-// prev frozen from a different table (or nil) degrades to a full Freeze.
-func (t *Flat) Refreeze(prev *View, keys ...uint64) *View {
-	if prev == nil || len(prev.shards) != len(t.shards) || prev.nu != t.nu {
-		return t.Freeze()
-	}
-	v := &View{
-		shards: append([]*viewShard(nil), prev.shards...),
-		nu:     t.nu,
-		n:      t.Len(),
-	}
-	for _, key := range keys {
-		s := t.shardIndex(key)
-		v.shards[s] = t.freezeShard(s)
-	}
-	return v
-}
-
-// shardIndex returns the index of the sub-table responsible for key,
-// mirroring shardOf.
-func (t *Flat) shardIndex(key uint64) int {
-	if len(t.shards) == 1 {
-		return 0
-	}
-	return shard.Index(mix(key^0x94d049bb133111eb), len(t.shards))
-}
-
-// Len returns the number of stored entries at freeze time.
-func (v *View) Len() int { return v.n }
 
 // Lookup probes the constant-width candidate set plus the stash, exactly as
-// the live table's read path does, without any lock or counter update.
+// the live table does, without any counter update.
 func (v *View) Lookup(key uint64) (uint64, bool) {
-	sh := v.shards[0]
-	if len(v.shards) > 1 {
-		sh = v.shards[shard.Index(mix(key^0x94d049bb133111eb), len(v.shards))]
-	}
-	b1, b2 := hashPair(key, sh.mask)
-	for d := 0; d <= v.nu; d++ {
-		c := (b1 + uint64(d)) & sh.mask
-		if sh.cells[c].Key == key {
-			return sh.cells[c].Value, true
-		}
-	}
-	for d := 0; d <= v.nu; d++ {
-		c := (b2 + uint64(d)) & sh.mask
-		if sh.cells[c].Key == key {
-			return sh.cells[c].Value, true
-		}
-	}
-	for i := range sh.stash {
-		if sh.stash[i].Key == key {
-			return sh.stash[i].Value, true
-		}
+	sh := v.shards[shardIndex(key, len(v.shards))]
+	if kv, _ := probe(sh.cells, sh.stash, sh.mask, v.nu, key); kv != nil {
+		return kv.Value, true
 	}
 	return 0, false
 }

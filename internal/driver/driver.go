@@ -245,7 +245,7 @@ type PreparedBatchResult struct {
 // out of the timed region: every probe's summary is computed once up
 // front, then the timed QuerySummaryBatch call replays only the search
 // back half (SA+CHS+ranking) across the worker pool. Because the back
-// half is what the sharded index and the lock-free read path parallelize,
+// half is what the lock-free read path lets the pool parallelize,
 // this is the measurement that shows worker scaling — RunBatch's numbers
 // are dominated by per-query FE, which is embarrassingly parallel but
 // CPU-bound, so on few-core hosts it flattens the curve and hides

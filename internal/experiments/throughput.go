@@ -49,19 +49,19 @@ type queryReport struct {
 	Rows     []queryRow `json:"rows"`
 }
 
-// RunThroughput measures serving throughput of the sharded concurrent
-// query engine with a per-stage split. The front half of the query
+// RunThroughput measures serving throughput of the concurrent query engine
+// with a per-stage split. The front half of the query
 // pipeline (FE → SM) is computed once per probe outside the timed region;
 // the timed region replays only the search back half (SA candidate
 // collection → CHS fetch → similarity verification) through
 // Engine.QuerySummaryBatch at increasing worker counts. That back half is
-// the part the sharded index parallelizes, so its scaling curve is the
-// regression signal CI tracks. Each row also reports the end-to-end
+// the part the worker pool parallelizes over the shared read view, so its
+// scaling curve is the regression signal CI tracks. Each row also reports the end-to-end
 // QueryBatch throughput (FE timed per query) — the gap between the two
 // columns is the per-request FE tax a serving front-end pays.
 func RunThroughput(e *Env) error {
 	w := e.Opts().Out
-	header(w, "Throughput: concurrent query engine (QuerySummaryBatch over sharded index)")
+	header(w, "Throughput: concurrent query engine (QuerySummaryBatch over the published read view)")
 
 	bp, err := e.Pipeline("Wuhan", "FAST")
 	if err != nil {
@@ -85,7 +85,7 @@ func RunThroughput(e *Env) error {
 	}
 
 	lshShards, tableShards := eng.Shards()
-	fmt.Fprintf(w, "host: %d hardware thread(s); index: %d shard(s) per LSH band, %d flat-table shard(s)\n\n",
+	fmt.Fprintf(w, "host: %d hardware thread(s); index: %d copy-on-write shard(s) per LSH band, %d per flat table\n\n",
 		runtime.NumCPU(), lshShards, tableShards)
 
 	workerSet := map[int]bool{1: true, 2: true, 4: true, runtime.GOMAXPROCS(0): true}
@@ -141,7 +141,7 @@ func RunThroughput(e *Env) error {
 	if err := writeJSONReport(path, report); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nper-stage split: FE+SM costs %s per query, precomputed outside the\ntimed region; timed rows cover only the search back half, which is\nwhat the shard fan-out parallelizes. end-to-end re-times the same\nworkload with FE inside the loop. batch results are byte-identical to\nthe sequential path at every worker count;\nmachine-readable baseline written to %s\n",
+	fmt.Fprintf(w, "\nper-stage split: FE+SM costs %s per query, precomputed outside the\ntimed region; timed rows cover only the search back half, which is\nwhat the worker pool parallelizes. end-to-end re-times the same\nworkload with FE inside the loop. batch results are byte-identical to\nthe sequential path at every worker count;\nmachine-readable baseline written to %s\n",
 		fmtDur(time.Duration(report.FEMeanNs)), path)
 	return nil
 }

@@ -8,7 +8,7 @@ import "fmt"
 // keys the in-RAM MinHash index uses, so a probe's multi-probe order — and
 // therefore its candidate set — is identical whether an entry is resident
 // in RAM or on disk. These helpers expose the band keys without exposing
-// the bucket maps; both the live index and its frozen View compute them
+// the bucket maps; both the live index and its snapshots compute them
 // with the same seed matrix, so keys written at migration time match keys
 // probed at query time for the life of the index (the seed matrix is a
 // pure function of MinHashParams; see SeedFingerprint).
@@ -17,23 +17,21 @@ import "fmt"
 // order, and returns the extended slice. Empty sets have no min-hash and
 // are rejected, mirroring Insert/Query.
 func (mh *MinHash) AppendBandKeys(dst []uint64, set []uint32) ([]uint64, error) {
-	if len(set) == 0 {
-		return dst, fmt.Errorf("lsh: cannot minhash an empty set")
-	}
-	for b := range mh.bands {
-		dst = append(dst, mh.signature(b, set))
-	}
-	return dst, nil
+	return appendBandKeys(dst, mh.seeds, set)
 }
 
-// AppendBandKeys is the frozen-View form; it computes exactly the keys the
+// AppendBandKeys is the snapshot form; it computes exactly the keys the
 // live index computes.
 func (v *View) AppendBandKeys(dst []uint64, set []uint32) ([]uint64, error) {
+	return appendBandKeys(dst, v.seeds, set)
+}
+
+func appendBandKeys(dst []uint64, seeds [][]uint64, set []uint32) ([]uint64, error) {
 	if len(set) == 0 {
 		return dst, fmt.Errorf("lsh: cannot minhash an empty set")
 	}
-	for b := range v.bands {
-		dst = append(dst, v.signature(b, set))
+	for b := range seeds {
+		dst = append(dst, signature(seeds, b, set))
 	}
 	return dst, nil
 }

@@ -37,43 +37,40 @@ func (idx *Index) Delete(id ItemID, v []float64) (bool, error) {
 
 // Delete removes item id from the MinHash index; set must be the element
 // set it was inserted with. It reports whether the item was found in at
-// least one band. Like Insert and Query it locks only the shard the band
-// key lands on, so deletions run concurrently with queries.
+// least one band.
 //
 // The surviving bucket is rebuilt copy-on-write rather than compacted in
-// place: frozen Views (see view.go) share bucket slices with the live
-// index, and an in-place swap-and-truncate would mutate elements a
-// lock-free reader may be scanning. Appends stay in place (they only write
-// past every frozen length); deletes allocate.
+// place: Views (see view.go) share bucket slices with the live index, and
+// an in-place swap-and-truncate would mutate elements a snapshot reader
+// may be scanning. Appends stay in place (they only write past every
+// frozen length); deletes allocate.
 func (mh *MinHash) Delete(id ItemID, set []uint32) (bool, error) {
 	if len(set) == 0 {
 		return false, fmt.Errorf("lsh: cannot minhash an empty set (item %d)", id)
 	}
 	removed := false
-	for b := range mh.bands {
-		k := mh.signature(b, set)
-		sh := mh.shardOf(b, k)
-		sh.mu.Lock()
-		bucket := sh.m[k]
+	for b := range mh.seeds {
+		k := signature(mh.seeds, b, set)
+		s := shardIndex(b, k)
+		bucket := mh.shards[s][k]
 		for i, got := range bucket {
-			if got == id {
+			if got != id {
+				continue
+			}
+			if len(bucket) == 1 {
+				delete(mh.shards[s], k)
+			} else {
 				next := make([]ItemID, 0, len(bucket)-1)
 				next = append(next, bucket[:i]...)
-				next = append(next, bucket[i+1:]...)
-				bucket = next
-				removed = true
-				break
+				mh.shards[s][k] = append(next, bucket[i+1:]...)
 			}
+			mh.dirty[s] = true
+			removed = true
+			break
 		}
-		if len(bucket) == 0 {
-			delete(sh.m, k)
-		} else {
-			sh.m[k] = bucket
-		}
-		sh.mu.Unlock()
 	}
 	if removed {
-		mh.n.Add(-1)
+		mh.n--
 	}
 	return removed, nil
 }

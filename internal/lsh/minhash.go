@@ -3,10 +3,6 @@ package lsh
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
-
-	"github.com/fastrepro/fast/internal/shard"
 )
 
 // MinHash is the Jaccard-space LSH family: the collision probability of a
@@ -25,31 +21,31 @@ import (
 // default choice) — the behaviour the paper's evaluation attributes to its
 // SA module. Both families are exercised by the ablation benchmarks.
 //
-// Concurrency: each band's bucket map is split into independently locked
-// shards (selected by the high bits of the band key), so concurrent Query,
-// Insert and Delete calls only contend when they land on the same shard of
-// the same band. A MinHash is safe for concurrent use without external
-// locking.
+// Concurrency: a MinHash is a single-writer structure with no locks of its
+// own. Insert, Delete and Snapshot need exclusive access; Query, Stats and
+// the other read-only methods may run concurrently with each other but not
+// with a writer (the engine's mutex provides both). Readers that must not
+// wait for writers use a Snapshot, which any number of goroutines may read
+// without synchronization.
+//
+// Each band's bucket map is split into minhashShards maps selected by the
+// high bits of the band key. A shard is the copy-on-write granule of
+// Snapshot: a mutation marks the shards it touches, and the next Snapshot
+// re-copies only those.
 type MinHash struct {
 	params MinHashParams
-	seeds  [][]uint64 // [band][row]
-	bands  []bandTable
-	n      atomic.Int64
+	seeds  [][]uint64            // [band][row]
+	shards []map[uint64][]ItemID // [band*minhashShards + shard]
+	dirty  []bool                // parallel to shards: mutated since the last Snapshot
+	n      int
+	snap   *View // the last Snapshot; unmarked shards are shared with the next
 }
 
-// bandTable is one band's sharded bucket map.
-type bandTable struct {
-	shards []minhashShard
-}
-
-// minhashShard is one independently locked slice of a band's key space.
-type minhashShard struct {
-	mu sync.RWMutex
-	m  map[uint64][]ItemID
-	// pad the shard to its own cache line so neighboring locks do not
-	// false-share under concurrent queries.
-	_ [24]byte
-}
+// minhashShards is the number of copy-on-write shards per band (a power of
+// two). More shards make each post-mutation copy smaller but add one small
+// map per shard per band to the heap; 16 is where the ingest gain levels
+// off on the repo benchmark while the heap cost stays under 1 %.
+const minhashShards = 16
 
 // MinHashParams configures a MinHash index.
 type MinHashParams struct {
@@ -83,8 +79,11 @@ func NewMinHash(params MinHashParams) (*MinHash, error) {
 	if params.Bands < 1 || params.Rows < 1 {
 		return nil, fmt.Errorf("lsh: invalid minhash params %+v", params)
 	}
-	mh := &MinHash{params: params}
-	nShards := shard.Count(0, 0)
+	mh := &MinHash{
+		params: params,
+		shards: make([]map[uint64][]ItemID, params.Bands*minhashShards),
+		dirty:  make([]bool, params.Bands*minhashShards),
+	}
 	state := uint64(params.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 	for b := 0; b < params.Bands; b++ {
 		rows := make([]uint64, params.Rows)
@@ -93,11 +92,9 @@ func NewMinHash(params MinHashParams) (*MinHash, error) {
 			rows[r] = state
 		}
 		mh.seeds = append(mh.seeds, rows)
-		shards := make([]minhashShard, nShards)
-		for s := range shards {
-			shards[s].m = make(map[uint64][]ItemID)
-		}
-		mh.bands = append(mh.bands, bandTable{shards: shards})
+	}
+	for s := range mh.shards {
+		mh.shards[s] = make(map[uint64][]ItemID)
 	}
 	return mh, nil
 }
@@ -114,22 +111,22 @@ func splitmix(x uint64) uint64 {
 func (mh *MinHash) Params() MinHashParams { return mh.params }
 
 // Len returns the number of inserted items.
-func (mh *MinHash) Len() int { return int(mh.n.Load()) }
+func (mh *MinHash) Len() int { return mh.n }
 
-// shardOf returns the shard holding key within band b.
-func (mh *MinHash) shardOf(b int, key uint64) *minhashShard {
-	tb := &mh.bands[b]
-	return &tb.shards[shard.Index(key, len(tb.shards))]
+// shardIndex locates the shard of a band's bucket key: the key's high bits,
+// which the bucket maps' own hashing does not depend on.
+func shardIndex(band int, key uint64) int {
+	return band*minhashShards + int(key>>48&(minhashShards-1))
 }
 
-// signature computes the band key for the given element set.
-func (mh *MinHash) signature(band int, set []uint32) uint64 {
+// signature computes the band key of an element set under a seed matrix.
+func signature(seeds [][]uint64, band int, set []uint32) uint64 {
 	const (
 		fnvOffset = 14695981039346656037
 		fnvPrime  = 1099511628211
 	)
 	key := uint64(fnvOffset)
-	for _, seed := range mh.seeds[band] {
+	for _, seed := range seeds[band] {
 		minV := ^uint64(0)
 		for _, el := range set {
 			h := splitmix(uint64(el) ^ seed)
@@ -145,20 +142,36 @@ func (mh *MinHash) signature(band int, set []uint32) uint64 {
 	return key
 }
 
+// appendQuery appends the distinct candidates colliding with set in any
+// band, in first-seen order, deduplicating through seen. It is the one
+// traversal behind both the live index and its snapshots.
+func appendQuery(dst []ItemID, seen map[ItemID]struct{}, seeds [][]uint64,
+	shards []map[uint64][]ItemID, set []uint32) []ItemID {
+	for b := range seeds {
+		k := signature(seeds, b, set)
+		for _, id := range shards[shardIndex(b, k)][k] {
+			if _, dup := seen[id]; !dup {
+				seen[id] = struct{}{}
+				dst = append(dst, id)
+			}
+		}
+	}
+	return dst
+}
+
 // Insert indexes the item's element set (e.g. the sparse Bloom summary's
 // set-bit positions). Empty sets are rejected: they have no min-hash.
 func (mh *MinHash) Insert(id ItemID, set []uint32) error {
 	if len(set) == 0 {
 		return fmt.Errorf("lsh: cannot minhash an empty set (item %d)", id)
 	}
-	for b := range mh.bands {
-		k := mh.signature(b, set)
-		sh := mh.shardOf(b, k)
-		sh.mu.Lock()
-		sh.m[k] = append(sh.m[k], id)
-		sh.mu.Unlock()
+	for b := range mh.seeds {
+		k := signature(mh.seeds, b, set)
+		s := shardIndex(b, k)
+		mh.shards[s][k] = append(mh.shards[s][k], id)
+		mh.dirty[s] = true
 	}
-	mh.n.Add(1)
+	mh.n++
 	return nil
 }
 
@@ -168,38 +181,19 @@ func (mh *MinHash) Query(set []uint32) ([]ItemID, error) {
 	if len(set) == 0 {
 		return nil, fmt.Errorf("lsh: cannot minhash an empty set")
 	}
-	seen := make(map[ItemID]struct{})
-	var out []ItemID
-	for b := range mh.bands {
-		k := mh.signature(b, set)
-		sh := mh.shardOf(b, k)
-		sh.mu.RLock()
-		for _, id := range sh.m[k] {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				out = append(out, id)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return out, nil
+	return appendQuery(nil, make(map[ItemID]struct{}), mh.seeds, mh.shards, set), nil
 }
 
 // Stats aggregates bucket occupancy across bands.
 func (mh *MinHash) Stats() BucketStats {
 	var st BucketStats
-	for b := range mh.bands {
-		for s := range mh.bands[b].shards {
-			sh := &mh.bands[b].shards[s]
-			sh.mu.RLock()
-			for _, bucket := range sh.m {
-				st.Buckets++
-				st.TotalRefs += len(bucket)
-				if len(bucket) > st.MaxLen {
-					st.MaxLen = len(bucket)
-				}
+	for _, m := range mh.shards {
+		for _, bucket := range m {
+			st.Buckets++
+			st.TotalRefs += len(bucket)
+			if len(bucket) > st.MaxLen {
+				st.MaxLen = len(bucket)
 			}
-			sh.mu.RUnlock()
 		}
 	}
 	if st.Buckets > 0 {
@@ -208,13 +202,8 @@ func (mh *MinHash) Stats() BucketStats {
 	return st
 }
 
-// Shards returns the number of independently locked shards per band.
-func (mh *MinHash) Shards() int {
-	if len(mh.bands) == 0 {
-		return 0
-	}
-	return len(mh.bands[0].shards)
-}
+// Shards returns the number of copy-on-write shards per band.
+func (mh *MinHash) Shards() int { return minhashShards }
 
 // MinHashCollisionProb returns the probability that two sets with Jaccard
 // similarity j collide in at least one band: 1 - (1 - j^rows)^bands.

@@ -2,129 +2,46 @@ package lsh
 
 import (
 	"fmt"
-
-	"github.com/fastrepro/fast/internal/shard"
+	"maps"
 )
 
-// View is an immutable, lock-free snapshot of a MinHash index: the same
-// band/bucket geometry, frozen. A View is safe for concurrent use by any
-// number of goroutines without synchronization — nothing in it is ever
-// written after Freeze returns — which is what lets the engine's
-// epoch-published read path answer queries without taking any lock.
+// View is an immutable snapshot of a MinHash index: the same band/bucket
+// geometry, frozen. Nothing in it is written after Snapshot returns, so any
+// number of goroutines may read it without synchronization.
 //
 // Sharing discipline: a View's bucket maps are copies of the live shard
-// maps, but the []ItemID bucket slices are shared with the live index.
-// That is safe because the mutable MinHash only ever *appends* to a bucket
-// (writes at indexes beyond every frozen slice's length) or replaces it
-// wholesale on delete (Delete is copy-on-write; see delete.go). No frozen
-// slice element is ever overwritten in place.
+// maps (or, for shards untouched since the previous Snapshot, that
+// snapshot's copies), but the []ItemID bucket slices are shared with the
+// live index. That is safe because the MinHash only ever *appends* to a
+// bucket (writes at indexes beyond every frozen slice's length) or replaces
+// it wholesale on delete (Delete is copy-on-write; see delete.go). No
+// frozen slice element is ever overwritten in place.
 type View struct {
-	params MinHashParams
 	seeds  [][]uint64
-	bands  [][]map[uint64][]ItemID // [band][shard] -> frozen bucket map
-	n      int
+	shards []map[uint64][]ItemID // [band*minhashShards + shard]
 }
 
-// freezeShard copies one live shard's bucket map (bucket slices shared; see
-// the sharing discipline above). Callers hold the engine-level write lock,
-// but the shard lock is still taken so Freeze composes with any concurrent
-// locked reader (Stats).
-func (mh *MinHash) freezeShard(b, s int) map[uint64][]ItemID {
-	sh := &mh.bands[b].shards[s]
-	sh.mu.RLock()
-	m := make(map[uint64][]ItemID, len(sh.m))
-	for k, bucket := range sh.m {
-		m[k] = bucket
-	}
-	sh.mu.RUnlock()
-	return m
-}
-
-// Freeze snapshots the whole index into a fresh View.
-func (mh *MinHash) Freeze() *View {
-	v := &View{
-		params: mh.params,
-		seeds:  mh.seeds,
-		bands:  make([][]map[uint64][]ItemID, len(mh.bands)),
-		n:      mh.Len(),
-	}
-	for b := range mh.bands {
-		shards := make([]map[uint64][]ItemID, len(mh.bands[b].shards))
-		for s := range shards {
-			shards[s] = mh.freezeShard(b, s)
+// Snapshot returns an immutable view of the index as it stands. Each shard
+// mutated since the previous Snapshot is copied exactly once; every other
+// shard is shared with that snapshot. Like Insert and Delete it needs
+// exclusive access to the index.
+func (mh *MinHash) Snapshot() *View {
+	prev := mh.snap
+	v := &View{seeds: mh.seeds, shards: make([]map[uint64][]ItemID, len(mh.shards))}
+	for s, m := range mh.shards {
+		if prev != nil && !mh.dirty[s] {
+			v.shards[s] = prev.shards[s]
+			continue
 		}
-		v.bands[b] = shards
+		v.shards[s] = maps.Clone(m)
+		mh.dirty[s] = false
 	}
+	mh.snap = v
 	return v
-}
-
-// Refreeze produces the next View after the given element sets were
-// inserted or deleted, re-copying only the band shards those sets hash to
-// and sharing every untouched shard map with prev. A prev frozen from a
-// different index (or nil) degrades to a full Freeze.
-func (mh *MinHash) Refreeze(prev *View, sets ...[]uint32) *View {
-	if prev == nil || len(prev.bands) != len(mh.bands) ||
-		len(prev.bands) == 0 || len(prev.bands[0]) != len(mh.bands[0].shards) {
-		return mh.Freeze()
-	}
-	v := &View{
-		params: mh.params,
-		seeds:  mh.seeds,
-		bands:  make([][]map[uint64][]ItemID, len(mh.bands)),
-		n:      mh.Len(),
-	}
-	for b := range mh.bands {
-		nShards := len(mh.bands[b].shards)
-		shards := prev.bands[b]
-		var copied []map[uint64][]ItemID
-		for _, set := range sets {
-			if len(set) == 0 {
-				continue
-			}
-			s := shard.Index(mh.signature(b, set), nShards)
-			if copied == nil {
-				copied = append([]map[uint64][]ItemID(nil), shards...)
-			}
-			copied[s] = mh.freezeShard(b, s)
-		}
-		if copied != nil {
-			v.bands[b] = copied
-		} else {
-			v.bands[b] = shards
-		}
-	}
-	return v
-}
-
-// Len returns the number of items in the index at freeze time.
-func (v *View) Len() int { return v.n }
-
-// signature computes the band key exactly as the live index does.
-func (v *View) signature(band int, set []uint32) uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	key := uint64(fnvOffset)
-	for _, seed := range v.seeds[band] {
-		minV := ^uint64(0)
-		for _, el := range set {
-			h := splitmix(uint64(el) ^ seed)
-			if h < minV {
-				minV = h
-			}
-		}
-		for shift := 0; shift < 64; shift += 8 {
-			key ^= (minV >> shift) & 0xff
-			key *= fnvPrime
-		}
-	}
-	return key
 }
 
 // Query returns the distinct candidates colliding with the set in any band,
-// in first-seen order — the same traversal the live MinHash.Query performs,
-// without any lock.
+// in first-seen order — the same traversal the live MinHash.Query performs.
 func (v *View) Query(set []uint32) ([]ItemID, error) {
 	return v.AppendQuery(nil, nil, set)
 }
@@ -142,16 +59,5 @@ func (v *View) AppendQuery(dst []ItemID, seen map[ItemID]struct{}, set []uint32)
 	} else {
 		clear(seen)
 	}
-	for b := range v.bands {
-		k := v.signature(b, set)
-		shards := v.bands[b]
-		bucket := shards[shard.Index(k, len(shards))][k]
-		for _, id := range bucket {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				dst = append(dst, id)
-			}
-		}
-	}
-	return dst, nil
+	return appendQuery(dst, seen, v.seeds, v.shards, set), nil
 }

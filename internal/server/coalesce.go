@@ -11,7 +11,7 @@ import (
 // goroutine — so the collector keeps gathering the next batch while the
 // engine processes the current one. This is how network fan-in (hundreds
 // of single-probe requests) is converted into the wide Engine.QueryBatch /
-// Engine.InsertBatch calls the sharded index paths were built for.
+// Engine.InsertBatch calls the engine's batch paths were built for.
 //
 // dispatch owns replying to every item it is given; submit-side handlers
 // block on their per-item response channel.

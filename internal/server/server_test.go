@@ -179,6 +179,10 @@ func TestInsertDeleteOverWire(t *testing.T) {
 	if err := c.Delete(ctx, p.ID); err == nil {
 		t.Fatal("double delete accepted")
 	}
+	// A request body without an id decodes to the reserved id 0.
+	if err := c.Delete(ctx, 0); err == nil {
+		t.Fatal("delete of id 0 accepted")
+	}
 
 	st, err := c.Stats(ctx)
 	if err != nil {

@@ -216,8 +216,8 @@ type Stats struct {
 	Entries     int    `json:"entries"`      // entry slots including deletion tombstones
 	IndexEpoch  uint64 `json:"index_epoch"`  // epoch of the published lock-free read view
 	IndexBytes  int64  `json:"index_bytes"`  // resident index size
-	LSHShards   int    `json:"lsh_shards"`   // lock shards per LSH band
-	TableShards int    `json:"table_shards"` // lock shards of the flat cuckoo table
+	LSHShards   int    `json:"lsh_shards"`   // copy-on-write shards per LSH band
+	TableShards int    `json:"table_shards"` // copy-on-write shards of the flat cuckoo table
 
 	// Disk-resident cold tier (see DESIGN.md, "Tiered index"). All zero
 	// when the engine runs without one (tiered_enabled false).
