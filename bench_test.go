@@ -6,24 +6,18 @@
 package fast_test
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/fastrepro/fast/internal/baseline"
-	"github.com/fastrepro/fast/internal/bloom"
 	"github.com/fastrepro/fast/internal/chunk"
 	"github.com/fastrepro/fast/internal/core"
 	"github.com/fastrepro/fast/internal/cuckoo"
 	"github.com/fastrepro/fast/internal/dedup"
 	"github.com/fastrepro/fast/internal/energy"
 	"github.com/fastrepro/fast/internal/kdtree"
-	"github.com/fastrepro/fast/internal/lsh"
 	"github.com/fastrepro/fast/internal/lsi"
-	"github.com/fastrepro/fast/internal/simimg"
 	"github.com/fastrepro/fast/internal/vectorize"
 	"github.com/fastrepro/fast/internal/workload"
 )
@@ -239,111 +233,7 @@ func BenchmarkFig7ParallelLookup(b *testing.B) {
 
 // --- Concurrent query engine: batch throughput ---
 
-// BenchmarkQueryBatch drives the full query pipeline through
-// Engine.QueryBatch at 1, 4 and GOMAXPROCS workers, reporting end-to-end
-// queries/sec. Queries share nothing but the published read view, so on a
-// multicore host the worker pool scales with cores; batch results stay byte-identical to the
-// sequential path at every worker count (enforced by the core tests).
-func BenchmarkQueryBatch(b *testing.B) {
-	ds, qs := benchData(b)
-	eng := core.NewEngine(core.Config{})
-	if _, err := eng.Build(ds.Photos); err != nil {
-		b.Fatal(err)
-	}
-	imgs := make([]*simimg.Image, len(qs))
-	for i, q := range qs {
-		imgs[i] = q.Probe
-	}
-	workerCounts := []int{1, 4}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 4 {
-		workerCounts = append(workerCounts, g)
-	}
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				for _, br := range eng.QueryBatch(imgs, 50, workers, nil) {
-					if br.Err != nil {
-						b.Fatal(br.Err)
-					}
-				}
-			}
-			elapsed := time.Since(start)
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N*len(imgs))/elapsed.Seconds(), "queries/sec")
-			}
-		})
-	}
-}
-
 // --- Staged parallel ingest pipeline: build and batch-insert throughput ---
-
-// BenchmarkBuildParallel measures Engine.BuildParallel photos/sec at 1, 4
-// and GOMAXPROCS workers. The FE+SM front half runs on the worker pool while
-// the ordered committer keeps index contents byte-identical to the
-// sequential path (enforced by the core equivalence tests), so the spread
-// between worker counts is pure pipeline speedup.
-func BenchmarkBuildParallel(b *testing.B) {
-	ds, _ := benchData(b)
-	workerCounts := []int{1, 4}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 4 {
-		workerCounts = append(workerCounts, g)
-	}
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				eng := core.NewEngine(core.Config{})
-				if _, err := eng.BuildParallel(ds.Photos, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			elapsed := time.Since(start)
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N*len(ds.Photos))/elapsed.Seconds(), "photos/sec")
-			}
-		})
-	}
-}
-
-// BenchmarkInsertBatch measures the streaming half of the pipeline: an
-// engine bootstrapped on half the corpus ingests the other half through
-// InsertBatch, which takes only short per-photo write sections so queries
-// can interleave.
-func BenchmarkInsertBatch(b *testing.B) {
-	ds, _ := benchData(b)
-	split := len(ds.Photos) / 2
-	workerCounts := []int{1, 4}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 4 {
-		workerCounts = append(workerCounts, g)
-	}
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				eng := core.NewEngine(core.Config{TableCapacity: 2 * len(ds.Photos)})
-				if _, err := eng.BuildParallel(ds.Photos[:split], workers); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := eng.InsertBatch(ds.Photos[split:], workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			elapsed := time.Since(start)
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N*(len(ds.Photos)-split))/elapsed.Seconds(), "photos/sec")
-			}
-		})
-	}
-}
 
 // --- Figure 8: smartphone-side dedup and chunking ---
 
@@ -389,81 +279,6 @@ func BenchmarkFig8bEnergyModel(b *testing.B) {
 }
 
 // --- Core module micro-benchmarks ---
-
-func BenchmarkModuleSummarize(b *testing.B) {
-	ds, _ := benchData(b)
-	eng := core.NewEngine(core.Config{})
-	if _, err := eng.Build(ds.Photos[:32]); err != nil {
-		b.Fatal(err)
-	}
-	img := ds.Photos[0].Img
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Summarize(img); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkModuleBloomSummary(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	descs := make([][]float64, 48)
-	for i := range descs {
-		v := make([]float64, 128)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		descs[i] = v
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bloom.Summarize(descs, bloom.SummaryConfig{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkModuleMinHashQuery(b *testing.B) {
-	mh, _ := lsh.NewMinHash(lsh.MinHashParams{Seed: 7})
-	rng := rand.New(rand.NewSource(8))
-	var sets [][]uint32
-	for i := 0; i < 2000; i++ {
-		set := make([]uint32, 96)
-		for j := range set {
-			set[j] = uint32(rng.Intn(8192))
-		}
-		sets = append(sets, set)
-		if err := mh.Insert(lsh.ItemID(i), set); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mh.Query(sets[i%len(sets)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkModuleFeatureExtraction(b *testing.B) {
-	img := simimg.NewScene(42).Render(64, 64)
-	ds, _ := benchData(b)
-	_ = ds
-	eng := core.NewEngine(core.Config{})
-	if _, err := eng.Build(benchDS.Photos[:32]); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Summarize(img); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // --- Table I substrate micro-benchmarks ---
 

@@ -5,27 +5,16 @@
 //	fastbench -exp fig6
 //	fastbench -exp all -scale 10000 -queries 25
 //
-// Experiment IDs: table1, table2, fig3, fig4, table3, table4, fig5, fig6,
-// fig7, qps, ingest, serve, snapshot, fig8a, fig8b, ablation. The qps
-// experiment reports queries/sec of the sharded concurrent engine
-// (Engine.QuerySummaryBatch) at increasing worker counts with the query
-// front half hoisted out of the timed region; the ingest experiment
-// reports photos/sec of the staged parallel ingest pipeline
-// (Engine.InsertBatch) and writes BENCH_ingest.json to -artifacts; the
-// serve experiment drives the HTTP serving layer (internal/server) with 64
-// concurrent clients, compares coalesced vs naive dispatch, and writes
-// BENCH_serve.json to -artifacts; the snapshot experiment measures
-// bytes/generation of content-addressed delta snapshots against
-// monolithic rewrites at increasing churn and writes BENCH_snapshot.json;
-// the cluster experiment runs a 3-shard router + single-node oracle over
-// real HTTP, verifies routed answers byte-identical, degrades through
-// shard kills, measures replica chunk-diff catch-up, and writes
-// BENCH_cluster.json.
+// Experiment IDs, in paper order: table1, table2, fig3, fig4, table3,
+// table4, fig5, fig6, fig7, fig8a, fig8b, ablation (-list prints them with
+// titles). The repository's own subsystems — serving, caching, snapshots,
+// the cluster and disk tiers — are measured by the benchmark in bench/
+// (BENCHMARK.json), not here.
 //
 // For performance work, -cpuprofile and -memprofile write standard pprof
 // profiles of the selected experiments:
 //
-//	fastbench -exp ingest -cpuprofile cpu.out -memprofile mem.out
+//	fastbench -exp fig7 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -47,7 +36,6 @@ func main() {
 		queries    = flag.Int("queries", 15, "real queries per accuracy cell")
 		seed       = flag.Int64("seed", 42, "workload seed")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
-		artifacts  = flag.String("artifacts", ".", "directory for machine-readable results (e.g. BENCH_ingest.json)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -75,11 +63,10 @@ func main() {
 	}
 
 	env := experiments.NewEnv(experiments.Options{
-		Scale:       *scale,
-		Queries:     *queries,
-		Seed:        *seed,
-		Out:         os.Stdout,
-		ArtifactDir: *artifacts,
+		Scale:   *scale,
+		Queries: *queries,
+		Seed:    *seed,
+		Out:     os.Stdout,
 	})
 
 	var toRun []experiments.Experiment

@@ -29,9 +29,9 @@ import (
 )
 
 // Default chunk geometry: 2 KB / 64 KB / 1 MB with normalization level 2.
-// These are the production snapshot-store settings; benchmarks at laptop
-// corpus scale use a proportionally smaller geometry (see the snapshot
-// experiment) so the granularity-to-payload ratio stays representative.
+// These are the production snapshot-store settings; a laptop-scale corpus
+// wants a proportionally smaller geometry (fastd -snapshot-chunk-avg) so
+// the granularity-to-payload ratio stays representative.
 const (
 	DefaultMinSize       = 2 << 10
 	DefaultAvgSize       = 64 << 10

@@ -69,11 +69,40 @@ func recoverEngine(t *testing.T, g *store.Generations) *core.Engine {
 // TestCatchUpColdThenIncremental runs the full replica catch-up loop over
 // HTTP: a cold replica pulls the complete chunk set, and after primary
 // churn the second pull ships only the diff — with the recovered replica
-// engine holding exactly the primary's photo set both times.
+// engine holding exactly the primary's photo set, and answering every
+// probe byte-identically to the primary, both times.
 func TestCatchUpColdThenIncremental(t *testing.T) {
 	hs, eng, ds := newSnapshotServer(t)
 	c := New(hs.URL, WithRetries(1, time.Millisecond))
 	ctx := context.Background()
+	qs, err := ds.Queries(4, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsPrimary := func(label string, replica *core.Engine) {
+		t.Helper()
+		if got, want := replica.Len(), eng.Len(); got != want {
+			t.Fatalf("%s: replica recovered %d photos, primary has %d", label, got, want)
+		}
+		for qi, q := range qs {
+			want, err := eng.Query(q.Probe, 25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := replica.Query(q.Probe, 25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s query %d: replica %d results, primary %d", label, qi, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s query %d rank %d drifted: %+v vs %+v", label, qi, i, got[i], want[i])
+				}
+			}
+		}
+	}
 
 	if _, err := c.SnapshotSave(ctx); err != nil {
 		t.Fatalf("SnapshotSave: %v", err)
@@ -91,9 +120,7 @@ func TestCatchUpColdThenIncremental(t *testing.T) {
 	if cold.ChunksFetched != cold.Chunks || cold.ChunksReused != 0 || cold.Chunks == 0 {
 		t.Fatalf("cold catch-up should fetch the full set: %+v", cold)
 	}
-	if got, want := recoverEngine(t, replica).Len(), eng.Len(); got != want {
-		t.Fatalf("replica recovered %d photos, primary has %d", got, want)
-	}
+	sameAsPrimary("cold", recoverEngine(t, replica))
 
 	// Churn ~5% on the primary, persist, catch up again.
 	fresh := 3
@@ -116,9 +143,7 @@ func TestCatchUpColdThenIncremental(t *testing.T) {
 	if transferred := inc.BytesFetched + inc.ManifestBytes; transferred >= inc.PayloadBytes {
 		t.Fatalf("incremental transfer %d not smaller than full payload %d", transferred, inc.PayloadBytes)
 	}
-	if got, want := recoverEngine(t, replica).Len(), eng.Len(); got != want {
-		t.Fatalf("replica recovered %d photos after churn, primary has %d", got, want)
-	}
+	sameAsPrimary("incremental", recoverEngine(t, replica))
 }
 
 // TestCatchUpRequiresChunkedStore: a monolithic primary store answers

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/fastrepro/fast/internal/bloom"
-	"github.com/fastrepro/fast/internal/metrics"
 	"github.com/fastrepro/fast/internal/simimg"
 )
 
@@ -31,12 +30,34 @@ type BatchResult struct {
 // sequential Query call would process it, so result IDs, scores and ranking
 // are identical to the sequential path regardless of the worker count.
 //
-// Per-query latency is recorded into lat when it is non-nil; failed queries
-// carry their error in the corresponding BatchResult and record no sample.
-func (e *Engine) QueryBatch(imgs []*simimg.Image, topK, workers int, lat *metrics.Histogram) []BatchResult {
-	return forEachProbe(len(imgs), workers, lat, func(i int) ([]SearchResult, error) {
-		return e.Query(imgs[i], topK)
-	})
+// Failed queries carry their error in the corresponding BatchResult.
+func (e *Engine) QueryBatch(imgs []*simimg.Image, topK, workers int) []BatchResult {
+	out := make([]BatchResult, len(imgs))
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(imgs) {
+		workers = len(imgs)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(imgs) {
+					return
+				}
+				t0 := time.Now()
+				res, err := e.queryRecovering(imgs[i], topK)
+				out[i] = BatchResult{Results: res, Err: err, Latency: time.Since(t0)}
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // QuerySummary answers a prepared probe summary through the search back
@@ -56,66 +77,16 @@ func (e *Engine) QuerySummary(ps *bloom.Sparse, topK, workers int) ([]SearchResu
 	return e.searchCached(ps, topK, workers)
 }
 
-// QuerySummaryBatch fans prepared summaries across a worker pool exactly
-// like QueryBatch fans probe images, but runs only the search back half
-// per summary. This is the serving shape when the front half was computed
-// elsewhere (or, in the throughput benchmark, precomputed outside the
-// timed region so per-query FE cost cannot mask search-path scaling).
-// Results are positionally aligned and identical to per-summary
-// QuerySummary calls.
-func (e *Engine) QuerySummaryBatch(summaries []*bloom.Sparse, topK, workers int, lat *metrics.Histogram) []BatchResult {
-	return forEachProbe(len(summaries), workers, lat, func(i int) ([]SearchResult, error) {
-		return e.QuerySummary(summaries[i], topK, 1)
-	})
-}
-
-// forEachProbe runs query(i) for every i in [0, n) on a pool of workers
-// (0 means GOMAXPROCS), each pulling the next unclaimed index, and returns
-// the positionally aligned outcomes with per-query latency recorded into
-// lat when it is non-nil and the query succeeded.
-func forEachProbe(n, workers int, lat *metrics.Histogram, query func(i int) ([]SearchResult, error)) []BatchResult {
-	out := make([]BatchResult, n)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				t0 := time.Now()
-				res, err := recovering(query, i)
-				d := time.Since(t0)
-				out[i] = BatchResult{Results: res, Err: err, Latency: d}
-				if err == nil && lat != nil {
-					lat.Record(d)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// recovering runs one query of a batch, converting a panic (e.g. from a
-// malformed image that slipped past upstream validation) into that query's
-// error. The panic would otherwise unwind a batch worker goroutine, where
-// no caller — in the serving tier, no net/http recover — can contain it,
-// taking down the whole process instead of one query.
-func recovering(query func(i int) ([]SearchResult, error), i int) (res []SearchResult, err error) {
+// queryRecovering runs one query of a batch, converting a panic (e.g. from
+// a malformed image that slipped past upstream validation) into that
+// query's error. The panic would otherwise unwind a batch worker goroutine,
+// where no caller — in the serving tier, no net/http recover — can contain
+// it, taking down the whole process instead of one query.
+func (e *Engine) queryRecovering(img *simimg.Image, topK int) (res []SearchResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("core: query panicked: %v", p)
 		}
 	}()
-	return query(i)
+	return e.Query(img, topK)
 }

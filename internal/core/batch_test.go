@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/fastrepro/fast/internal/bloom"
-	"github.com/fastrepro/fast/internal/metrics"
 	"github.com/fastrepro/fast/internal/simimg"
 )
 
@@ -34,8 +33,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{0, 1, 3, 8} {
-		hist := metrics.NewHistogram()
-		batch := e.QueryBatch(imgs, 50, workers, hist)
+		batch := e.QueryBatch(imgs, 50, workers)
 		if len(batch) != len(imgs) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(batch), len(imgs))
 		}
@@ -57,39 +55,31 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 				t.Errorf("workers=%d query %d: non-positive latency", workers, i)
 			}
 		}
-		if got := hist.Count(); got != int64(len(imgs)) {
-			t.Errorf("workers=%d: histogram has %d samples, want %d", workers, got, len(imgs))
-		}
 	}
 }
 
 // TestQueryBatchEmptyAndErrors covers the edge shapes: empty batch, and a
-// batch against an unbuilt engine reporting per-query errors without
-// recording latency samples.
+// batch against an unbuilt engine reporting per-query errors.
 func TestQueryBatchEmptyAndErrors(t *testing.T) {
 	e := NewEngine(Config{})
-	if out := e.QueryBatch(nil, 10, 4, nil); len(out) != 0 {
+	if out := e.QueryBatch(nil, 10, 4); len(out) != 0 {
 		t.Errorf("empty batch returned %d results", len(out))
 	}
-	hist := metrics.NewHistogram()
 	imgs := []*simimg.Image{simimg.New(32, 32), simimg.New(32, 32)}
-	out := e.QueryBatch(imgs, 10, 2, hist)
+	out := e.QueryBatch(imgs, 10, 2)
 	for i, br := range out {
 		if br.Err == nil {
 			t.Errorf("query %d against unbuilt engine succeeded", i)
 		}
 	}
-	if hist.Count() != 0 {
-		t.Errorf("failed queries recorded %d latency samples", hist.Count())
-	}
 }
 
-// TestQuerySummaryBatchMatchesQueryBatch is the prepared-path contract:
-// Summarize + ToSparse + QuerySummaryBatch must return exactly what
-// QueryBatch returns for the same probes at every worker count — the
-// hoisted front half computes the same summary the full pipeline would,
-// and the back half is shared code.
-func TestQuerySummaryBatchMatchesQueryBatch(t *testing.T) {
+// TestQuerySummaryMatchesQueryBatch is the prepared-path contract:
+// Summarize + ToSparse + QuerySummary must return exactly what QueryBatch
+// returns for the same probes at every scoring-worker count — the hoisted
+// front half computes the same summary the full pipeline would, and the
+// back half is shared code.
+func TestQuerySummaryMatchesQueryBatch(t *testing.T) {
 	ds := testDataset(t)
 	e := builtEngine(t, ds)
 	qs, err := ds.Queries(10, 47)
@@ -100,7 +90,7 @@ func TestQuerySummaryBatchMatchesQueryBatch(t *testing.T) {
 	for i, q := range qs {
 		imgs[i] = q.Probe
 	}
-	full := e.QueryBatch(imgs, 50, 4, nil)
+	full := e.QueryBatch(imgs, 50, 4)
 
 	summaries := make([]*bloom.Sparse, len(imgs))
 	for i, img := range imgs {
@@ -112,35 +102,28 @@ func TestQuerySummaryBatchMatchesQueryBatch(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 8} {
-		hist := metrics.NewHistogram()
-		batch := e.QuerySummaryBatch(summaries, 50, workers, hist)
-		if len(batch) != len(full) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(batch), len(full))
-		}
-		for i, br := range batch {
-			if br.Err != nil {
-				t.Fatalf("workers=%d summary %d: %v", workers, i, br.Err)
+		for i, ps := range summaries {
+			if full[i].Err != nil {
+				t.Fatalf("full path query %d: %v", i, full[i].Err)
 			}
-			if len(br.Results) != len(full[i].Results) {
+			res, err := e.QuerySummary(ps, 50, workers)
+			if err != nil {
+				t.Fatalf("workers=%d summary %d: %v", workers, i, err)
+			}
+			if len(res) != len(full[i].Results) {
 				t.Fatalf("workers=%d summary %d: %d hits, full path returned %d",
-					workers, i, len(br.Results), len(full[i].Results))
+					workers, i, len(res), len(full[i].Results))
 			}
-			for j := range br.Results {
-				if br.Results[j] != full[i].Results[j] {
+			for j := range res {
+				if res[j] != full[i].Results[j] {
 					t.Fatalf("workers=%d summary %d: result %d = %+v, full path %+v",
-						workers, i, j, br.Results[j], full[i].Results[j])
+						workers, i, j, res[j], full[i].Results[j])
 				}
 			}
 		}
-		if got := hist.Count(); got != int64(len(imgs)) {
-			t.Errorf("workers=%d: histogram has %d samples, want %d", workers, got, len(imgs))
-		}
 	}
 
-	// Edge shapes: empty batch, nil summary, bad topK.
-	if out := e.QuerySummaryBatch(nil, 10, 4, nil); len(out) != 0 {
-		t.Errorf("empty summary batch returned %d results", len(out))
-	}
+	// Edge shapes: nil summary, bad topK.
 	if res, err := e.QuerySummary(nil, 10, 1); err != nil || res != nil {
 		t.Errorf("nil summary: got (%v, %v), want (nil, nil)", res, err)
 	}

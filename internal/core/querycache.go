@@ -175,8 +175,8 @@ func (e *Engine) searchCached(ps *bloom.Sparse, topK, workers int) ([]SearchResu
 }
 
 // QueryUncached answers a probe while bypassing both cache tiers — the
-// reference path the equivalence tests and the cache experiment compare
-// cached answers against, byte for byte.
+// reference path the equivalence tests and bench/ compare cached answers
+// against, byte for byte.
 func (e *Engine) QueryUncached(img *simimg.Image, topK int) ([]SearchResult, error) {
 	if topK <= 0 {
 		return nil, fmt.Errorf("core: topK must be positive, got %d", topK)

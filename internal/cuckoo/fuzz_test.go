@@ -7,12 +7,11 @@ import (
 )
 
 // FuzzCuckooInsertDelete replays an arbitrary operation stream — 9-byte
-// records of (op, key) — against both the fixed Flat table and the
-// Resizable wrapper, with a plain map as the oracle. Invariants: every
-// key the model holds is findable with the model's value, every key it
-// does not hold is absent, and Len always matches. ErrTableFull from the
-// fixed table is legal (the item lands in the stash and must still be
-// findable); any other error is a bug.
+// records of (op, key) — against the fixed Flat table, with a plain map as
+// the oracle. Invariants: every key the model holds is findable with the
+// model's value, every key it does not hold is absent, and Len always
+// matches. ErrTableFull is legal (the item lands in the stash and must
+// still be findable); any other error is a bug.
 func FuzzCuckooInsertDelete(f *testing.F) {
 	rec := func(op byte, key uint64) []byte {
 		b := make([]byte, 9)
@@ -33,10 +32,6 @@ func FuzzCuckooInsertDelete(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rz, err := NewResizable(32, 2, 0, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
 		model := map[uint64]uint64{}
 		for off := 0; off+9 <= len(data) && off < 9*4096; off += 9 {
 			op := data[off] % 3
@@ -49,9 +44,6 @@ func FuzzCuckooInsertDelete(f *testing.F) {
 				if err := flat.Insert(key, val); err != nil && !errors.Is(err, ErrTableFull) {
 					t.Fatalf("flat insert %d: %v", key, err)
 				}
-				if err := rz.Insert(key, val); err != nil {
-					t.Fatalf("resizable insert %d: %v", key, err)
-				}
 				model[key] = val
 			case 1: // delete
 				want := false
@@ -62,9 +54,6 @@ func FuzzCuckooInsertDelete(f *testing.F) {
 				if got := flat.Delete(key); got != want {
 					t.Fatalf("flat delete %d = %v, want %v", key, got, want)
 				}
-				if got := rz.Delete(key); got != want {
-					t.Fatalf("resizable delete %d = %v, want %v", key, got, want)
-				}
 			case 2: // lookup probe for a key that may be absent
 				_, inModel := model[key]
 				if _, ok := flat.Lookup(key); ok != inModel {
@@ -72,15 +61,12 @@ func FuzzCuckooInsertDelete(f *testing.F) {
 				}
 			}
 		}
-		if flat.Len() != len(model) || rz.Len() != len(model) {
-			t.Fatalf("len drift: flat=%d resizable=%d model=%d", flat.Len(), rz.Len(), len(model))
+		if flat.Len() != len(model) {
+			t.Fatalf("len drift: flat=%d model=%d", flat.Len(), len(model))
 		}
 		for k, v := range model {
 			if got, ok := flat.Lookup(k); !ok || got != v {
 				t.Fatalf("flat lost key %d (ok=%v got=%d want=%d)", k, ok, got, v)
-			}
-			if got, ok := rz.Lookup(k); !ok || got != v {
-				t.Fatalf("resizable lost key %d (ok=%v got=%d want=%d)", k, ok, got, v)
 			}
 		}
 	})

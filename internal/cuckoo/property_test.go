@@ -67,31 +67,6 @@ func TestFlatPropertyRandomOps(t *testing.T) {
 	}
 }
 
-// TestResizableLoadFactorBounded grows under sustained insertion and
-// checks the load factor never exceeds 1 (more entries than cells is
-// impossible by construction, but the stash could hide violations).
-func TestResizableLoadFactorBounded(t *testing.T) {
-	rz, err := NewResizable(64, 2, 0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := map[uint64]uint64{}
-	for k := uint64(1); k <= 5000; k++ {
-		if err := rz.Insert(k, k*7); err != nil {
-			t.Fatalf("insert %d: %v", k, err)
-		}
-		model[k] = k * 7
-		if lf := float64(rz.Len()) / float64(rz.Cap()); lf > 1.0 {
-			t.Fatalf("load factor %f > 1 at %d entries", lf, rz.Len())
-		}
-	}
-	for k, v := range model {
-		if got, ok := rz.Lookup(k); !ok || got != v {
-			t.Fatalf("key %d lost across growth (ok=%v got=%d)", k, ok, got)
-		}
-	}
-}
-
 // TestDeleteInsertIdempotent: delete followed by insert of the same pair
 // restores exactly the observable state, repeatedly, from any starting
 // fill.
@@ -164,57 +139,5 @@ func TestInjectedInsertFullLandsInStash(t *testing.T) {
 	}
 	if !flat.Delete(42) {
 		t.Fatal("stashed key not deletable")
-	}
-}
-
-// TestInjectedInsertFullTriggersRehash: the Resizable wrapper must answer
-// an injected exhaustion with a grow-and-rebuild that loses nothing.
-func TestInjectedInsertFullTriggersRehash(t *testing.T) {
-	t.Cleanup(failpoint.Reset)
-	failpoint.Reset()
-	rz, err := NewResizable(256, 2, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(1); k <= 100; k++ {
-		if err := rz.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	capBefore := rz.Cap()
-	failpoint.Enable(failpoint.CuckooInsertFull, failpoint.Policy{Action: failpoint.Error, Times: 1})
-	if err := rz.Insert(500, 500); err != nil {
-		t.Fatalf("insert through injected exhaustion: %v", err)
-	}
-	if rz.Rehashes() != 1 {
-		t.Fatalf("Rehashes = %d, want 1", rz.Rehashes())
-	}
-	if rz.Cap() <= capBefore {
-		t.Fatalf("capacity did not grow: %d -> %d", capBefore, rz.Cap())
-	}
-	for k := uint64(1); k <= 100; k++ {
-		if got, ok := rz.Lookup(k); !ok || got != k {
-			t.Fatalf("key %d lost across injected rehash", k)
-		}
-	}
-	if got, ok := rz.Lookup(500); !ok || got != 500 {
-		t.Fatal("triggering key lost")
-	}
-}
-
-// TestInjectedRehashFailureSurfaces: when the rehash itself is made to
-// fail, the error reaches the caller instead of being swallowed.
-func TestInjectedRehashFailureSurfaces(t *testing.T) {
-	t.Cleanup(failpoint.Reset)
-	failpoint.Reset()
-	rz, err := NewResizable(256, 2, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failpoint.Enable(failpoint.CuckooInsertFull, failpoint.Policy{Action: failpoint.Error, Times: 1})
-	failpoint.Enable(failpoint.CuckooRehash, failpoint.Policy{Action: failpoint.Error})
-	err = rz.Insert(7, 7)
-	if !errors.Is(err, failpoint.ErrInjected) {
-		t.Fatalf("want injected rehash error, got %v", err)
 	}
 }

@@ -56,44 +56,3 @@ func TestFlatMatchesMapUnderMixedOps(t *testing.T) {
 		}
 	}
 }
-
-// TestResizableMatchesMapUnderGrowth repeats the model test while forcing
-// growth through a deliberately tiny initial table.
-func TestResizableMatchesMapUnderGrowth(t *testing.T) {
-	r, err := NewResizable(16, DefaultNeighborhood, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := make(map[uint64]uint64)
-	rng := rand.New(rand.NewSource(123))
-	for step := 0; step < 5000; step++ {
-		k := uint64(rng.Intn(800)) + 1
-		switch rng.Intn(6) {
-		case 0, 1, 2, 3:
-			v := rng.Uint64()
-			if err := r.Insert(k, v); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			ref[k] = v
-		case 4:
-			got := r.Delete(k)
-			_, want := ref[k]
-			if got != want {
-				t.Fatalf("step %d: delete mismatch", step)
-			}
-			delete(ref, k)
-		default:
-			v, ok := r.Lookup(k)
-			wantV, wantOK := ref[k]
-			if ok != wantOK || (ok && v != wantV) {
-				t.Fatalf("step %d: lookup mismatch", step)
-			}
-		}
-	}
-	if r.Len() != len(ref) {
-		t.Fatalf("Len = %d, ref %d", r.Len(), len(ref))
-	}
-	if r.Rehashes() == 0 {
-		t.Error("tiny table never grew under 800 distinct keys")
-	}
-}

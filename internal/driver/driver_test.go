@@ -150,53 +150,3 @@ func TestDriverEndToEndWithEngine(t *testing.T) {
 		t.Error("no throughput computed")
 	}
 }
-
-func TestRunBatchValidation(t *testing.T) {
-	d := Driver{}
-	if _, err := d.RunBatch(nil, nil, nil); err == nil {
-		t.Error("nil engine should fail")
-	}
-	ds, _ := workload.Generate(smallSpec())
-	if _, err := d.RunBatch(core.NewEngine(core.Config{}), ds, nil); err == nil {
-		t.Error("empty query set should fail")
-	}
-}
-
-func TestRunBatchMatchesRun(t *testing.T) {
-	ds, err := workload.Generate(smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := core.NewEngine(core.Config{})
-	if _, err := eng.Build(ds.Photos); err != nil {
-		t.Fatal(err)
-	}
-	qs, err := ds.Queries(8, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := Driver{Clients: 4, TopK: 20}
-	seq, err := d.Run(eng, ds, qs)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	batch, err := d.RunBatch(eng, ds, qs)
-	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
-	}
-	if batch.Queries != len(qs) || batch.Failures != 0 {
-		t.Errorf("batch result = %+v", batch)
-	}
-	// The engine is deterministic, so the batch path must reproduce the
-	// per-query replay's retrieval quality (up to float summation order,
-	// which depends on client scheduling in Run).
-	if diff := batch.Recall - seq.Recall; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("batch recall %v != per-query recall %v", batch.Recall, seq.Recall)
-	}
-	if batch.Latency.Count != len(qs) {
-		t.Errorf("batch latency samples = %d, want %d", batch.Latency.Count, len(qs))
-	}
-	if batch.Throughput <= 0 || batch.Elapsed <= 0 {
-		t.Errorf("batch throughput/elapsed not positive: %+v", batch)
-	}
-}

@@ -27,7 +27,6 @@ import (
 
 	"github.com/fastrepro/fast/internal/baseline"
 	"github.com/fastrepro/fast/internal/core"
-	"github.com/fastrepro/fast/internal/simimg"
 	"github.com/fastrepro/fast/internal/workload"
 )
 
@@ -42,9 +41,6 @@ type Options struct {
 	Seed int64
 	// Out receives the reports.
 	Out io.Writer
-	// ArtifactDir is where experiments that emit machine-readable results
-	// (e.g. BENCH_ingest.json) write them; "" means the working directory.
-	ArtifactDir string
 }
 
 func (o Options) withDefaults() Options {
@@ -56,9 +52,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
-	}
-	if o.ArtifactDir == "" {
-		o.ArtifactDir = "."
 	}
 	return o
 }
@@ -198,13 +191,6 @@ func All() []Experiment {
 		{"fig5", "Figure 5: insertion latency", RunFig5},
 		{"fig6", "Figure 6: insertion failure (rehash) probability", RunFig6},
 		{"fig7", "Figure 7: multicore-enabled parallel queries", RunFig7},
-		{"qps", "Throughput: sharded concurrent query engine (QueryBatch)", RunThroughput},
-		{"cache", "Read-path cache: reuse sweep, cached vs uncached (identity-verified)", RunCache},
-		{"ingest", "Throughput: staged parallel ingest pipeline (InsertBatch)", RunIngest},
-		{"serve", "Serving: coalesced network queries vs naive goroutine-per-request", RunServe},
-		{"snapshot", "Snapshot: content-addressed delta generations vs monolithic rewrites", RunSnapshot},
-		{"cluster", "Cluster: sharded fan-out identity, degradation, replica chunk-diff catch-up", RunCluster},
-		{"tiered", "Tiered index: disk-resident cold tier vs all-RAM oracle (identity-verified)", RunTiered},
 		{"fig8a", "Figure 8a: network transmission overhead", RunFig8a},
 		{"fig8b", "Figure 8b: smartphone energy consumption", RunFig8b},
 		{"ablation", "Ablations: design-choice sweeps", RunAblation},
@@ -259,15 +245,4 @@ func fmtBytes(b int64) string {
 	default:
 		return fmt.Sprintf("%dB", b)
 	}
-}
-
-// sceneLocation returns a representative capture location for a scene.
-func sceneLocation(ds *workload.Dataset, scene simimg.SceneID) *simimg.GeoPoint {
-	for _, p := range ds.Photos {
-		if p.Scene == scene {
-			loc := p.Loc
-			return &loc
-		}
-	}
-	return nil
 }

@@ -2,15 +2,11 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/fastrepro/fast/internal/core"
-	"github.com/fastrepro/fast/internal/workload"
 )
 
 // tinyEnv provisions an environment small enough for unit tests:
@@ -20,19 +16,38 @@ func tinyEnv() (*Env, *bytes.Buffer) {
 	return NewEnv(Options{Scale: 300000, Queries: 2, Seed: 3, Out: &buf}), &buf
 }
 
+// TestAllRegistryAndByID pins the registry to the paper's evaluation: the
+// twelve tables, figures and the ablation, in paper order, each indexed in
+// DESIGN.md. Repo-subsystem measurements live in bench/, not here.
 func TestAllRegistryAndByID(t *testing.T) {
+	want := []string{"table1", "table2", "fig3", "fig4", "table3", "table4",
+		"fig5", "fig6", "fig7", "fig8a", "fig8b", "ablation"}
 	all := All()
-	if len(all) != 19 {
-		t.Fatalf("registry has %d experiments, want 19", len(all))
+	if len(all) != len(want) {
+		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))
 	}
-	for _, ex := range all {
+	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ex := range all {
+		if ex.ID != want[i] {
+			t.Errorf("All()[%d] = %q, want %q", i, ex.ID, want[i])
+		}
 		got, err := ByID(ex.ID)
 		if err != nil || got.ID != ex.ID {
 			t.Errorf("ByID(%q) = %v, %v", ex.ID, got.ID, err)
 		}
+		// `fastbench -list` prints exactly All(); every ID it shows must
+		// be findable in DESIGN.md's per-experiment index.
+		if !bytes.Contains(design, []byte("`fastbench -exp "+ex.ID+"`")) {
+			t.Errorf("DESIGN.md does not index experiment %q", ex.ID)
+		}
 	}
-	if _, err := ByID("nope"); err == nil {
-		t.Error("unknown ID should fail")
+	for _, id := range []string{"qps", "cache", "ingest", "serve", "snapshot", "cluster", "tiered", "nope"} {
+		if _, err := ByID(id); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("ByID(%q) error = %v, want unknown experiment", id, err)
+		}
 	}
 }
 
@@ -92,37 +107,6 @@ func TestRunTable2(t *testing.T) {
 	}
 }
 
-func TestRunIngest(t *testing.T) {
-	var buf bytes.Buffer
-	dir := t.TempDir()
-	e := NewEnv(Options{Scale: 300000, Queries: 2, Seed: 3, Out: &buf, ArtifactDir: dir})
-	if err := RunIngest(e); err != nil {
-		t.Fatalf("RunIngest: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{"photos/sec", "speedup", "identical"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_ingest.json"))
-	if err != nil {
-		t.Fatalf("artifact not written: %v", err)
-	}
-	var report ingestReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("artifact not valid JSON: %v", err)
-	}
-	if report.Experiment != "ingest" || len(report.Rows) == 0 {
-		t.Errorf("artifact content: %+v", report)
-	}
-	for _, row := range report.Rows {
-		if row.PhotosPerSec <= 0 || row.Workers <= 0 {
-			t.Errorf("bad row: %+v", row)
-		}
-	}
-}
-
 func TestRunTable4(t *testing.T) {
 	e, buf := tinyEnv()
 	if err := RunTable4(e); err != nil {
@@ -164,139 +148,6 @@ func TestRunFig7(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "speedup") {
 		t.Error("Fig7 output missing speedup column")
-	}
-}
-
-func TestRunThroughput(t *testing.T) {
-	var buf bytes.Buffer
-	dir := t.TempDir()
-	e := NewEnv(Options{Scale: 300000, Queries: 2, Seed: 3, Out: &buf, ArtifactDir: dir})
-	if err := RunThroughput(e); err != nil {
-		t.Fatalf("RunThroughput: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{"queries/sec", "speedup", "shard"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("qps output missing %q", want)
-		}
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_query.json"))
-	if err != nil {
-		t.Fatalf("artifact not written: %v", err)
-	}
-	var report queryReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("artifact not valid JSON: %v", err)
-	}
-	if len(report.Rows) == 0 || report.Queries == 0 {
-		t.Errorf("artifact content: %+v", report)
-	}
-	for _, row := range report.Rows {
-		if row.QPS <= 0 || row.Workers <= 0 || row.P99Ns < row.P50Ns {
-			t.Errorf("bad row: %+v", row)
-		}
-	}
-}
-
-func TestRunTiered(t *testing.T) {
-	var buf bytes.Buffer
-	dir := t.TempDir()
-	e := NewEnv(Options{Scale: 300000, Queries: 2, Seed: 3, Out: &buf, ArtifactDir: dir})
-	if err := RunTiered(e); err != nil {
-		t.Fatalf("RunTiered: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{"byte-identical", "tiered qps", "cold tier"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("tiered output missing %q", want)
-		}
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_tiered.json"))
-	if err != nil {
-		t.Fatalf("artifact not written: %v", err)
-	}
-	var report tieredReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("artifact not valid JSON: %v", err)
-	}
-	if report.ColdEntries == 0 || report.Segments == 0 || report.IdentityChecks == 0 ||
-		report.SpillProbes == 0 || len(report.Rows) == 0 {
-		t.Errorf("artifact content: %+v", report)
-	}
-	for _, row := range report.Rows {
-		if row.HotQPS <= 0 || row.TieredQPS <= 0 || row.Workers <= 0 {
-			t.Errorf("bad row: %+v", row)
-		}
-	}
-	// The tiered experiment runs on private engine copies: the shared env
-	// engine must not have grown a cold tier or lost photos.
-	if bp, err := e.Pipeline("Wuhan", "FAST"); err == nil {
-		eng := bp.p.(*core.Engine)
-		if eng.Stats().Tiered.Enabled {
-			t.Error("env engine left with a cold tier enabled")
-		}
-	}
-}
-
-func TestRunCache(t *testing.T) {
-	var buf bytes.Buffer
-	dir := t.TempDir()
-	e := NewEnv(Options{Scale: 300000, Queries: 2, Seed: 3, Out: &buf, ArtifactDir: dir})
-	if err := RunCache(e); err != nil {
-		t.Fatalf("RunCache: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{"speedup", "verified byte-identical"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("cache output missing %q", want)
-		}
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_cache.json"))
-	if err != nil {
-		t.Fatalf("artifact not written: %v", err)
-	}
-	var report cacheReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("artifact not valid JSON: %v", err)
-	}
-	if len(report.Rows) != 3 {
-		t.Fatalf("want 3 reuse rows, got %+v", report.Rows)
-	}
-	for _, row := range report.Rows {
-		if !row.IdentityVerified {
-			t.Errorf("row %.0f%% not identity-verified", row.Reuse*100)
-		}
-		if row.CachedQPS <= 0 || row.UncachedQPS <= 0 || row.Distinct <= 0 {
-			t.Errorf("bad row: %+v", row)
-		}
-	}
-	// The experiment must leave the shared env engine with the tiers off.
-	if bp, err := e.Pipeline("Wuhan", "FAST"); err == nil {
-		eng := bp.p.(*core.Engine)
-		if s, r := eng.CacheConfig(); s != 0 || r != 0 {
-			t.Errorf("env engine left with caches on: %d/%d", s, r)
-		}
-	}
-}
-
-func TestReuseStreamDeterministicAndBounded(t *testing.T) {
-	fresh := make([]workload.Query, 10)
-	a := reuseStream(fresh, 40, 0.5, 7)
-	b := reuseStream(fresh, 40, 0.5, 7)
-	if len(a) != 40 || len(b) != 40 {
-		t.Fatalf("stream lengths: %d, %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Probe != b[i].Probe {
-			t.Fatalf("stream not deterministic at %d", i)
-		}
-	}
-	// Zero reuse consumes fresh probes in order until the pool runs dry.
-	zero := reuseStream(fresh, 10, 0, 7)
-	for i := range zero {
-		if &fresh[i].Probe != &zero[i].Probe && fresh[i].Probe != zero[i].Probe {
-			t.Fatalf("zero-reuse stream diverged at %d", i)
-		}
 	}
 }
 
@@ -368,79 +219,5 @@ func TestProjectQueryShapes(t *testing.T) {
 	}
 	if unknown := projectQuery("NOPE", m, "Wuhan", clu); unknown.Service != 0 {
 		t.Error("unknown scheme should project to zero")
-	}
-}
-
-func TestRunSnapshot(t *testing.T) {
-	var buf bytes.Buffer
-	dir := t.TempDir()
-	e := NewEnv(Options{Scale: 300000, Queries: 2, Seed: 3, Out: &buf, ArtifactDir: dir})
-	if err := RunSnapshot(e); err != nil {
-		t.Fatalf("RunSnapshot: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{"dedup", "monolithic/gen", "chunked/gen"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("snapshot output missing %q", want)
-		}
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_snapshot.json"))
-	if err != nil {
-		t.Fatalf("artifact not written: %v", err)
-	}
-	var report snapshotReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("artifact not valid JSON: %v", err)
-	}
-	if len(report.Rows) != 4 || report.Corpus == 0 || report.CDCAvg == 0 {
-		t.Fatalf("artifact content: %+v", report)
-	}
-	for _, row := range report.Rows {
-		if row.MonolithicBytesPerGen <= 0 || row.ChunkedBytesPerGen <= 0 || row.DedupRatio <= 0 {
-			t.Errorf("bad row: %+v", row)
-		}
-		// Unchurned generations must be dramatically cheaper than monolithic
-		// rewrites at any corpus size: only the manifest is written.
-		if row.ChurnPct == 0 && row.DedupRatio < 5 {
-			t.Errorf("0%% churn dedup ratio %.1f — chunk reuse broken", row.DedupRatio)
-		}
-	}
-}
-
-func TestRunCluster(t *testing.T) {
-	var buf bytes.Buffer
-	dir := t.TempDir()
-	e := NewEnv(Options{Scale: 300000, Queries: 2, Seed: 3, Out: &buf, ArtifactDir: dir})
-	if err := RunCluster(e); err != nil {
-		t.Fatalf("RunCluster: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{"byte-identical", "partial", "quorum lost", "catch-up"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("cluster output missing %q", want)
-		}
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_cluster.json"))
-	if err != nil {
-		t.Fatalf("artifact not written: %v", err)
-	}
-	var report clusterReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("artifact not valid JSON: %v", err)
-	}
-	if !report.IdentityExact || !report.PartialVerified || !report.QuorumVerified {
-		t.Fatalf("gates not verified: %+v", report)
-	}
-	if report.Shards != clusterShards || report.Corpus == 0 || report.IdentityQueries == 0 {
-		t.Fatalf("artifact content: %+v", report)
-	}
-	if report.ColdTransferBytes <= 0 || report.DeltaTransferBytes <= 0 {
-		t.Fatalf("transfer accounting missing: %+v", report)
-	}
-	// Even on a tiny corpus the incremental catch-up must move fewer bytes
-	// than the cold one — the diff property, independent of the 25% gate.
-	if report.DeltaTransferBytes >= report.ColdTransferBytes {
-		t.Errorf("incremental catch-up (%d bytes) not cheaper than cold (%d bytes)",
-			report.DeltaTransferBytes, report.ColdTransferBytes)
 	}
 }

@@ -73,11 +73,9 @@ const (
 	ClientTransport = "client/transport"
 
 	// Cuckoo storage (internal/cuckoo). insert-full forces a kick-chain
-	// exhaustion (the paper's rare rehash event) so the stash/rehash
-	// machinery can be driven at will; rehash fires at the top of the
-	// Resizable grow path.
+	// exhaustion (the paper's rare rehash event) so the stash can be
+	// driven at will.
 	CuckooInsertFull = "cuckoo/insert-full"
-	CuckooRehash     = "cuckoo/rehash"
 
 	// Disk-resident cold tier (internal/tiered, internal/core). The sites
 	// bracket the three steps of the hot→cold migration protocol, in

@@ -182,37 +182,44 @@ func newReplicaCluster(t *testing.T, shards int, policy router.ReadPolicy) *repl
 	return c
 }
 
-// checkIdentity routes probes through the cluster and demands full,
-// fresh answers byte-identical to the union oracle.
-func (c *replicaCluster) checkIdentity(t *testing.T, label string, n int) {
-	t.Helper()
+// identity routes probes through the cluster and reports the first answer
+// that is not full, fresh and byte-identical to the union oracle's.
+func (c *replicaCluster) identity(n int) error {
 	qs, err := c.ds.Queries(n, 910)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	const topK = 25
 	ctx := context.Background()
 	for qi, q := range qs {
 		want, err := c.union.Query(q.Probe, topK)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		got, resp, err := c.routerClient.QueryFull(ctx, q.Probe, topK)
 		if err != nil {
-			t.Fatalf("%s: query %d: %v", label, qi, err)
+			return fmt.Errorf("query %d: %w", qi, err)
 		}
 		if resp.Partial || resp.Stale {
-			t.Fatalf("%s: query %d flagged partial=%v stale=%v", label, qi, resp.Partial, resp.Stale)
+			return fmt.Errorf("query %d flagged partial=%v stale=%v", qi, resp.Partial, resp.Stale)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%s: query %d: %d results, oracle %d", label, qi, len(got), len(want))
+			return fmt.Errorf("query %d: %d results, oracle %d", qi, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("%s: query %d rank %d: got {%d %.17g}, oracle {%d %.17g}",
-					label, qi, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+				return fmt.Errorf("query %d rank %d: got {%d %.17g}, oracle {%d %.17g}",
+					qi, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
 			}
 		}
+	}
+	return nil
+}
+
+func (c *replicaCluster) checkIdentity(t *testing.T, label string, n int) {
+	t.Helper()
+	if err := c.identity(n); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -227,10 +234,31 @@ func (c *replicaCluster) nextRing(epoch, seed uint64) placement.Config {
 // wire: new seed, same shard count, rf preserved. The update must
 // complete with photos actually migrating (acquired and shed non-zero),
 // leave every shard steady on the new epoch with the copy count intact,
-// and preserve byte-identity before, during polling, and after.
+// and preserve byte-identity before, under query load for the whole of the
+// update, and after.
 func TestRingUpdateEndToEnd(t *testing.T) {
 	c := newReplicaCluster(t, 3, router.ReadRoundRobin)
 	c.checkIdentity(t, "before update", 4)
+
+	// The router double-reads during the transition and every shard
+	// acquires before any shard sheds, so no probe racing the update may
+	// see a partial, stale or different answer.
+	stopLoad := make(chan struct{})
+	loadErr := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stopLoad:
+				loadErr <- nil
+				return
+			default:
+			}
+			if err := c.identity(4); err != nil {
+				loadErr <- err
+				return
+			}
+		}
+	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -241,6 +269,10 @@ func TestRingUpdateEndToEnd(t *testing.T) {
 		Replicas:     clusterRF,
 		PollInterval: 10 * time.Millisecond,
 	})
+	close(stopLoad)
+	if lerr := <-loadErr; lerr != nil {
+		t.Fatalf("query load during update: %v", lerr)
+	}
 	if err != nil {
 		t.Fatalf("RingUpdate: %v", err)
 	}

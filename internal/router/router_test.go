@@ -21,7 +21,7 @@ import (
 // engineBackend adapts an in-process engine to the Backend interface, so
 // router semantics are tested against real index behavior without HTTP in
 // the loop (the client/server wire is float64-exact by construction and is
-// exercised by the experiment and the CI cluster smoke). The mutex guards
+// exercised by the CI cluster smoke). The mutex guards
 // the op logs: async replica applies hit a backend from worker goroutines.
 type engineBackend struct {
 	eng *core.Engine
@@ -29,6 +29,7 @@ type engineBackend struct {
 	mu         sync.Mutex
 	failReads  bool
 	failWrites bool
+	queries    int
 	inserts    []uint64
 	deletes    []uint64
 }
@@ -51,6 +52,9 @@ func (b *engineBackend) setFail(reads, writes bool) {
 }
 
 func (b *engineBackend) Query(ctx context.Context, img *simimg.Image, topK int) (Answer, error) {
+	b.mu.Lock()
+	b.queries++
+	b.mu.Unlock()
 	if b.fail(false) {
 		return Answer{}, errShardDown
 	}
@@ -88,6 +92,12 @@ func (b *engineBackend) Delete(ctx context.Context, id uint64) (uint64, error) {
 	b.deletes = append(b.deletes, id)
 	b.mu.Unlock()
 	return b.eng.PublishedEpoch(), nil
+}
+
+func (b *engineBackend) queryCalls() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.queries
 }
 
 func (b *engineBackend) insertLog() []uint64 {
@@ -299,6 +309,21 @@ func TestReplicaPoliciesByteIdenticalProperty(t *testing.T) {
 						label, qi, meta.Partial, meta.Stale)
 				}
 				assertIdentical(t, fmt.Sprintf("%s query %d", label, qi), got, want)
+			}
+			// Replica reads must scale: with every shard fresh the
+			// round-robin policy skips rf-1 shards per read and, by the
+			// coverage lemma, never needs a repair wave — so each read
+			// costs exactly S-rf+1 shard queries, not S.
+			if pol == ReadRoundRobin && rf >= 2 {
+				calls := 0
+				for _, b := range backends {
+					calls += b.queryCalls()
+				}
+				frac := float64(calls) / float64(len(qs)*shards)
+				if limit := float64(shards-rf+1)/float64(shards) + 0.1; frac > limit {
+					t.Fatalf("%s: %d shard queries for %d reads = %.2f of shards per read, want <= %.2f",
+						label, calls, len(qs), frac, limit)
+				}
 			}
 			// Kill one random shard: with rf ≥ 2 the survivors hold every
 			// photo (any S-1 shards intersect every rf-owner window), so

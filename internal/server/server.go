@@ -640,7 +640,7 @@ groupJobs:
 	for gi, g := range groups {
 		imgs[gi] = g.img
 	}
-	brs := s.Engine().QueryBatch(imgs, maxK, s.cfg.BatchWorkers, nil)
+	brs := s.Engine().QueryBatch(imgs, maxK, s.cfg.BatchWorkers)
 	for gi, g := range groups {
 		for _, i := range g.jobs {
 			j := batch[i]
