@@ -79,12 +79,12 @@ fuzz:
 # chunk-store crash matrix + GC interleavings, generation rotation,
 # injected 429/503 bursts, transport faults, cuckoo exhaustion,
 # interrupted catch-up streams, router fan-out/merge faults, tiered
-# migration crash matrix + cold-tier churn) repeated under the race
-# detector.
+# migration crash matrix + cold-tier churn) and the rebuild-oracle
+# read-view checks, repeated under the race detector.
 soak:
 	$(GO) test -race -count=3 ./internal/failpoint/
 	$(GO) test -race -count=3 -timeout=30m \
-		-run='CrashRecovery|Generations|Injected|Recovery|Retry|Deadline|Transport|Interleaving|Churn|Interrupted|Fanout|PartialAndQuorum|Replica|RingUpdate|RingTransition' \
+		-run='ViewMatchesRebuild|CrashRecovery|Generations|Injected|Recovery|Retry|Deadline|Transport|Interleaving|Churn|Interrupted|Fanout|PartialAndQuorum|Replica|RingUpdate|RingTransition' \
 		./internal/core/ ./internal/store/ ./internal/cuckoo/ ./internal/client/ ./internal/router/ ./internal/replica/ ./internal/tiered/
 
 fmt-check:

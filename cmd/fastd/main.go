@@ -63,7 +63,6 @@ func main() {
 		snapshot    = flag.String("snapshot", "", "bootstrap the index from this snapshot (generations tried newest-first)")
 		finalSnap   = flag.String("final-snapshot", "", "write the index here during graceful shutdown (rotating generations)")
 		generations = flag.Int("snapshot-generations", 2, "snapshot generations to keep (primary + fallbacks)")
-		chunked     = flag.Bool("snapshot-chunked", true, "write snapshots as content-addressed chunk manifests (dedup across generations)")
 		chunkAvg    = flag.Int("snapshot-chunk-avg", 0, "target chunk size in bytes for chunked snapshots, a power of two (0 = production default 64KB; lower it so small indexes still split into enough chunks to diff)")
 		photos      = flag.Int("photos", 300, "synthetic bootstrap corpus size (ignored with -snapshot)")
 		scenes      = flag.Int("scenes", 10, "synthetic bootstrap scene count (ignored with -snapshot)")
@@ -179,7 +178,7 @@ func main() {
 			// avg/8, max at 8×avg — the spread the benchmark suite uses).
 			cdc = chunk.Config{MinSize: *chunkAvg / 8, AvgSize: *chunkAvg, MaxSize: *chunkAvg * 8}
 		}
-		snaps = &store.Generations{Path: *finalSnap, Keep: *generations, Chunked: *chunked, CDC: cdc}
+		snaps = &store.Generations{Path: *finalSnap, Keep: *generations, Chunked: true, CDC: cdc}
 	}
 
 	srv, err := server.New(server.Config{

@@ -413,14 +413,7 @@ func (e *Engine) Summarize(img *simimg.Image) (*bloom.Filter, error) {
 	if sc == nil {
 		return e.summarizeWith(v.pca, img)
 	}
-	key := cache.ImageKey(img.W, img.H, img.Pix).Derive(v.basisGen)
-	ent, _, err := sc.GetOrCompute(key, func() (summaryEntry, error) {
-		f, err := e.summarizeWith(v.pca, img)
-		if err != nil {
-			return summaryEntry{}, err
-		}
-		return summaryEntry{sparse: bloom.ToSparse(f), filter: f}, nil
-	})
+	ent, err := e.cachedSummary(sc, v, img)
 	if err != nil {
 		return nil, err
 	}
@@ -439,18 +432,6 @@ func (e *Engine) summarizeWith(pca *feature.PCASIFT, img *simimg.Image) (*bloom.
 	return bloom.Summarize(descs, e.cfg.Summary)
 }
 
-// summarizeUncached is the locked, cache-free FE+SM pipeline behind
-// QueryUncached — the reference path the lock-free view is verified against.
-func (e *Engine) summarizeUncached(img *simimg.Image) (*bloom.Filter, error) {
-	e.mu.RLock()
-	p := e.pcasift
-	e.mu.RUnlock()
-	if p == nil {
-		return nil, errors.New("core: engine not built")
-	}
-	return e.summarizeWith(p, img)
-}
-
 // Search implements Pipeline; the geo hint is ignored (FAST is
 // content-based).
 func (e *Engine) Search(probe Probe, topK int) ([]SearchResult, error) {
@@ -462,8 +443,8 @@ func (e *Engine) Search(probe Probe, topK int) ([]SearchResult, error) {
 // view without acquiring the engine lock (see view.go). With the cache
 // tiers enabled, a repeated raster hits the summary tier (skipping FE+SM)
 // and a repeated summary at an unchanged index epoch hits the result tier
-// (skipping the search as well); answers are byte-identical in all cases,
-// including against the locked reference path QueryUncached.
+// (skipping the search as well); answers are byte-identical in all cases
+// to QueryUncached, which bypasses both tiers.
 func (e *Engine) Query(img *simimg.Image, topK int) ([]SearchResult, error) {
 	if topK <= 0 {
 		return nil, fmt.Errorf("core: topK must be positive, got %d", topK)
@@ -473,257 +454,6 @@ func (e *Engine) Query(img *simimg.Image, topK int) ([]SearchResult, error) {
 		return nil, err
 	}
 	return e.QuerySummary(ps, topK, 1)
-}
-
-// queryScratch recycles the per-query allocations of searchSummary: the
-// candidate key batch, the scoring slice, and the group-expansion member
-// set. Pooled the same way ingest pools its FE/SM buffers.
-type queryScratch struct {
-	keys     []uint64
-	results  []SearchResult
-	inResult map[uint64]bool
-
-	// Cold-spill buffers, touched only when a cold tier is attached (see
-	// their viewScratch counterparts for roles).
-	seen     map[lsh.ItemID]struct{}
-	gseen    map[lsh.ItemID]struct{}
-	pwords   []uint64
-	bandKeys []uint64
-	cwords   []uint64
-	rwords   []uint64
-	gkeys    []uint64
-	gbits    []uint32
-}
-
-var queryScratchPool = sync.Pool{New: func() interface{} { return new(queryScratch) }}
-
-// searchSummary runs SA+CHS+ranking for a prepared probe summary against
-// the live structures under the read lock, scoring by sparse merge. It is
-// the reference the published-view path (searchView) is verified against;
-// QueryUncached is its only production caller.
-func (e *Engine) searchSummary(probeSparse *bloom.Sparse, topK int) ([]SearchResult, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.index == nil {
-		return nil, errors.New("core: engine not built")
-	}
-	ids, err := e.index.Query(probeSparse.Bits)
-	if err != nil {
-		return nil, err
-	}
-	// With a populated cold tier the probe may still hit spilled entries
-	// even when every hot bucket came up empty.
-	var coldView *tiered.View
-	if e.cold != nil {
-		coldView = e.cold.View()
-	}
-	coldActive := coldView.Len() > 0
-	if len(ids) == 0 && !coldActive {
-		return nil, nil
-	}
-
-	sc := queryScratchPool.Get().(*queryScratch)
-	if cap(sc.keys) < len(ids) {
-		sc.keys = make([]uint64, len(ids))
-	}
-	keys := sc.keys[:len(ids)]
-	for i, id := range ids {
-		keys[i] = uint64(id)
-	}
-	slots := e.table.LookupBatch(keys, 1)
-
-	// Charge the candidate summary fetches to the in-memory cost model
-	// (constant work per candidate: this is the O(1) flat addressing). The
-	// charges accumulate in a per-query scratch and flush once at the end,
-	// so concurrent queries never contend on the accounting.
-	var qc SimCost
-	for _, s := range slots {
-		if s.Found {
-			sz := int64(e.entries[s.Value].summary.SizeBytes())
-			qc.charge(e.ram.RandomRead(sz), sz)
-		}
-	}
-
-	if cap(sc.results) < len(ids) {
-		sc.results = make([]SearchResult, len(ids))
-	}
-	results := sc.results[:len(ids)]
-	for i, s := range slots {
-		results[i] = SearchResult{Score: -1}
-		if !s.Found {
-			continue
-		}
-		ent := e.entries[s.Value]
-		if sim, err := bloom.JaccardSparse(probeSparse, ent.summary); err == nil {
-			results[i] = SearchResult{ID: ent.id, Score: sim}
-		}
-	}
-
-	// Spill to the cold tier: scan the probe's band buckets on disk,
-	// skipping ids the hot probe already collected, so the union candidate
-	// set — and with the shared total-order sort, the answer — matches an
-	// all-RAM engine over the union corpus. Cold candidates are scored by
-	// packed-word Jaccard, which is bit-for-bit the sparse merge above.
-	wordN := bloom.PackedWords(probeSparse.M)
-	if coldActive {
-		if sc.seen == nil {
-			sc.seen = make(map[lsh.ItemID]struct{}, len(ids))
-		} else {
-			clear(sc.seen)
-		}
-		for _, id := range ids {
-			sc.seen[id] = struct{}{}
-		}
-		sc.pwords = bloom.AppendPacked(sc.pwords, probeSparse.M, probeSparse.Bits)
-		sc.bandKeys, err = e.index.AppendBandKeys(sc.bandKeys[:0], probeSparse.Bits)
-		if err != nil {
-			queryScratchPool.Put(sc)
-			return nil, err
-		}
-		if cap(sc.cwords) < wordN {
-			sc.cwords = make([]uint64, wordN)
-		}
-		results = appendCold(coldView, e.cold, sc.bandKeys, sc.pwords, 1, e.cfg.MinScore, nil,
-			sc.seen, results, sc.cwords[:wordN], e.coldDisk, &qc)
-	}
-
-	// Filter and rank.
-	kept := results[:0]
-	for _, r := range results {
-		if r.Score >= e.cfg.MinScore {
-			kept = append(kept, r)
-		}
-	}
-	sortResults(kept)
-
-	// Group expansion: the strongest hits are members of the probe's
-	// correlated group; their stored summaries are clean representatives of
-	// that group, so re-querying with them recovers groupmates the noisy
-	// probe missed (false-negative suppression, Section III-C2).
-	if e.cfg.GroupExpand > 0 {
-		if sc.inResult == nil {
-			sc.inResult = make(map[uint64]bool, len(kept))
-		} else {
-			clear(sc.inResult)
-		}
-		inResult := sc.inResult
-		for _, r := range kept {
-			inResult[r.ID] = true
-		}
-		expandFrom := e.cfg.GroupExpand
-		if expandFrom > len(kept) {
-			expandFrom = len(kept)
-		}
-		for h := 0; h < expandFrom; h++ {
-			hit := kept[h]
-			// Resolve the representative from whichever tier holds it; a
-			// cold rep's bits are reconstructed from its packed words (the
-			// exact inverse of packing), so the member re-query uses the
-			// identical element set the all-hot engine would.
-			var rep *bloom.Sparse
-			var repWords []uint64
-			var repBits []uint32
-			var repM uint32
-			if slot, ok := e.slotLocked(hit.ID); ok {
-				rep = e.entries[slot].summary
-				if len(rep.Bits) == 0 {
-					continue
-				}
-				repWords, repBits, repM = e.entries[slot].words, rep.Bits, rep.M
-			} else if coldActive {
-				seg, rec, ok := coldView.Lookup(hit.ID)
-				if !ok {
-					continue
-				}
-				if cap(sc.rwords) < wordN {
-					sc.rwords = make([]uint64, wordN)
-				}
-				repWords = seg.RecordWords(rec, sc.rwords[:wordN])
-				sc.gbits = bloom.AppendBits(sc.gbits[:0], repWords)
-				repBits = sc.gbits
-				if len(repBits) == 0 {
-					continue
-				}
-				repM = probeSparse.M // cold geometry is pinned to the engine's
-			} else {
-				continue
-			}
-			groupIDs, err := e.index.Query(repBits)
-			if err != nil {
-				continue
-			}
-			keys = keys[:0]
-			for _, gid := range groupIDs {
-				keys = append(keys, uint64(gid))
-			}
-			for i, gslot := range e.table.LookupBatch(keys, 1) {
-				id := keys[i]
-				if inResult[id] || !gslot.Found {
-					continue
-				}
-				g := &e.entries[gslot.Value]
-				var sim float64
-				if rep != nil {
-					sim, err = bloom.JaccardSparse(rep, g.summary)
-					if err != nil {
-						continue
-					}
-				} else {
-					if g.summary == nil || g.summary.M != repM {
-						continue
-					}
-					sim = bloom.JaccardPacked(repWords, g.words)
-				}
-				if sim < e.cfg.MinScore {
-					continue
-				}
-				qc.charge(e.ram.RandomRead(int64(g.summary.SizeBytes())), 0)
-				inResult[id] = true
-				// Member score: affinity to the group representative,
-				// discounted by the representative's own probe score.
-				kept = append(kept, SearchResult{ID: id, Score: hit.Score * sim})
-			}
-			// Cold groupmates: scan the rep's band buckets on disk, with
-			// gseen dedup'ing ids the hot member query already returned.
-			if coldActive && repM == probeSparse.M {
-				if sc.gseen == nil {
-					sc.gseen = make(map[lsh.ItemID]struct{}, len(groupIDs))
-				} else {
-					clear(sc.gseen)
-				}
-				for _, gid := range groupIDs {
-					sc.gseen[gid] = struct{}{}
-				}
-				sc.gkeys, err = e.index.AppendBandKeys(sc.gkeys[:0], repBits)
-				if err != nil {
-					continue
-				}
-				if cap(sc.cwords) < wordN {
-					sc.cwords = make([]uint64, wordN)
-				}
-				kept = appendCold(coldView, e.cold, sc.gkeys, repWords, hit.Score, e.cfg.MinScore, inResult,
-					sc.gseen, kept, sc.cwords[:wordN], e.coldDisk, &qc)
-			}
-		}
-		sortResults(kept)
-	}
-
-	if len(kept) > topK {
-		kept = kept[:topK]
-	}
-	out := append([]SearchResult(nil), kept...)
-
-	// Return the scratch, keeping the largest backing array seen (group
-	// expansion can grow kept past the original candidate count).
-	if cap(kept) > cap(sc.results) {
-		sc.results = kept[:0]
-	}
-	if cap(keys) > cap(sc.keys) {
-		sc.keys = keys
-	}
-	queryScratchPool.Put(sc)
-	e.flushSim(qc)
-	return out, nil
 }
 
 // sortResults orders by descending score, then ascending ID for stability.

@@ -41,10 +41,12 @@ func fuzzSeedSnapshot(tb testing.TB) []byte {
 	return fuzzSeedSnap
 }
 
-// FuzzReadEngine throws arbitrary bytes at the snapshot deserializer. The
-// invariants: never panic, never return a half-built engine on error, and
-// any accepted snapshot must itself round-trip — written back out and
-// re-read, it yields an engine of the same size.
+// FuzzReadEngine throws arbitrary bytes at the snapshot deserializer, both
+// as given and — when the section table parses — resealed with valid CRCs,
+// so mutated payload bytes reach the section decoders rather than stopping
+// at the checksum. The invariants: never panic, never return a half-built
+// engine on error, and any accepted snapshot must itself round-trip —
+// written back out and re-read, it yields an engine of the same size.
 func FuzzReadEngine(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("FASTIDX1"))
@@ -62,25 +64,34 @@ func FuzzReadEngine(f *testing.F) {
 		if failpoint.Enabled(failpoint.CoreSnapshotRead) {
 			t.Skip("failpoints armed externally")
 		}
-		e, err := ReadEngine(bytes.NewReader(data))
-		if err != nil {
-			if e != nil {
-				t.Fatal("error return carried a non-nil engine")
-			}
-			return
-		}
-		var out bytes.Buffer
-		if _, err := e.WriteTo(&out); err != nil {
-			t.Fatalf("re-serializing accepted snapshot: %v", err)
-		}
-		back, err := ReadEngine(&out)
-		if err != nil {
-			t.Fatalf("re-reading accepted snapshot: %v", err)
-		}
-		if back.Len() != e.Len() {
-			t.Fatalf("round trip changed Len: %d -> %d", e.Len(), back.Len())
+		checkReadEngine(t, data)
+		if sealed, ok := reseal(data); ok {
+			checkReadEngine(t, sealed)
 		}
 	})
+}
+
+// checkReadEngine asserts FuzzReadEngine's invariants on one input.
+func checkReadEngine(t *testing.T, data []byte) {
+	t.Helper()
+	e, err := ReadEngine(bytes.NewReader(data))
+	if err != nil {
+		if e != nil {
+			t.Fatal("error return carried a non-nil engine")
+		}
+		return
+	}
+	var out bytes.Buffer
+	if _, err := e.WriteTo(&out); err != nil {
+		t.Fatalf("re-serializing accepted snapshot: %v", err)
+	}
+	back, err := ReadEngine(&out)
+	if err != nil {
+		t.Fatalf("re-reading accepted snapshot: %v", err)
+	}
+	if back.Len() != e.Len() {
+		t.Fatalf("round trip changed Len: %d -> %d", e.Len(), back.Len())
+	}
 }
 
 // sanity pin: ErrBadSnapshot classification never regresses under the

@@ -172,8 +172,8 @@ func (e *Engine) BuildParallel(photos []*simimg.Photo, workers int) (BuildStats,
 		})
 	// Publish once: queries answer from the previous view for the whole
 	// build and switch to the complete new index in one step (on error the
-	// partially built state is published, which is what the locked reference
-	// path sees after a failed Build).
+	// partially built state is published, so the view matches the live
+	// structures a failed Build leaves behind).
 	e.publishLocked()
 	return st, err
 }

@@ -25,33 +25,23 @@ import (
 // space-efficient representation, so snapshots stay small (tens of bytes
 // per photo).
 //
-// Two formats exist:
-//
-// The legacy layout (magic "FASTIDX1", little-endian) is the raw
-// concatenation of the three sections:
-//
-//	magic   [8]byte  "FASTIDX1"
-//	config  summary geometry, LSH params, table params
-//	pca     input dim, output dim, mean, basis rows
-//	entries count, then per entry: id, bit count, bits
-//
-// The checksummed container (magic "FASTSNP1") wraps the same three
-// section encodings with the durability framing a crash-safe snapshot
-// pipeline needs — every section's length and CRC32 sit in the header, so
-// a torn write, a flipped bit, or a short read is detected before any of
-// the payload is trusted:
+// The snapshot is a checksummed container (magic "FASTSNP1",
+// little-endian) around three section encodings — every section's length
+// and CRC32 sit in the header, so a torn write, a flipped bit, or a short
+// read is detected before any of the payload is trusted:
 //
 //	magic    [8]byte  "FASTSNP1"
 //	version  uint32 (1)
 //	sections uint32 (3)
 //	table    per section: id uint32, length uint64, crc32 uint32
 //	hdrcrc   uint32   CRC32 of every header byte above
-//	payloads the three section encodings, concatenated
+//	payloads the three section encodings, concatenated:
+//	  config   summary geometry, LSH params, table params
+//	  pca      input dim, output dim, mean, basis rows
+//	  entries  count, then per entry: id, bit count, bits
 //
-// WriteTo emits the container; ReadEngine sniffs the magic and accepts
-// both, so snapshots from older builds keep loading.
+// WriteTo emits it; ReadEngine rejects any other magic.
 const (
-	persistMagic   = "FASTIDX1"
 	containerMagic = "FASTSNP1"
 
 	containerVersion = 1
@@ -136,36 +126,6 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// writeLegacyTo serializes the legacy (unchecksummed) layout. It exists so
-// the compatibility read path stays covered by the same round-trip and
-// hardening tests that covered it when it was the only format.
-func (e *Engine) writeLegacyTo(w io.Writer) (int64, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.pcasift == nil {
-		return 0, errors.New("core: cannot persist an unbuilt engine")
-	}
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	if _, err := cw.Write([]byte(persistMagic)); err != nil {
-		return cw.n, err
-	}
-	if err := e.appendConfigSection(cw); err != nil {
-		return cw.n, err
-	}
-	if err := e.appendPCASection(cw); err != nil {
-		return cw.n, err
-	}
-	if err := e.appendEntriesSection(cw); err != nil {
-		return cw.n, err
-	}
-	if bw, ok := cw.w.(*bufio.Writer); ok {
-		if err := bw.Flush(); err != nil {
-			return cw.n, err
-		}
-	}
-	return cw.n, nil
-}
-
 // writeFields writes vs in order, little-endian.
 func writeFields(w io.Writer, vs ...interface{}) error {
 	for _, v := range vs {
@@ -235,9 +195,8 @@ func (e *Engine) appendEntriesSection(w io.Writer) error {
 	return nil
 }
 
-// ReadEngine deserializes an index snapshot, rebuilding the LSH tables and
-// flat cuckoo storage. Both the checksummed container and the legacy
-// unchecksummed layout are accepted (sniffed by magic).
+// ReadEngine deserializes a snapshot container, rebuilding the LSH tables
+// and flat cuckoo storage.
 func ReadEngine(r io.Reader) (*Engine, error) {
 	if err := failpoint.Eval(failpoint.CoreSnapshotRead); err != nil {
 		return nil, fmt.Errorf("core: reading snapshot: %w", err)
@@ -247,38 +206,10 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadSnapshot, err)
 	}
-	switch string(magic) {
-	case containerMagic:
-		return readContainer(br)
-	case persistMagic:
-		return readLegacy(br)
-	default:
+	if string(magic) != containerMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", errBadSnapshot, magic)
 	}
-}
-
-// readLegacy decodes the unchecksummed concatenation of sections that
-// follows a legacy magic.
-func readLegacy(br *bufio.Reader) (*Engine, error) {
-	cfg, err := readConfigSection(br)
-	if err != nil {
-		return nil, err
-	}
-	pca, err := readPCASection(br)
-	if err != nil {
-		return nil, err
-	}
-	e, err := readEntriesSection(br, cfg, pca)
-	if err != nil {
-		return nil, err
-	}
-	// The entry count is the snapshot's own framing; bytes past the last
-	// entry mean the count field lied (e.g. a torn rewrite), so reject them
-	// rather than silently dropping data.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing data after entries", errBadSnapshot)
-	}
-	return e, nil
+	return readContainer(br)
 }
 
 // sectionBounds caps the claimed length of each container section before

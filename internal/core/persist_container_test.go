@@ -33,52 +33,12 @@ func containerSnapshot(t *testing.T) []byte {
 	return containerSnap
 }
 
-// The legacy (unchecksummed) layout must keep loading: snapshots written
-// by older builds are read back with identical query results.
-func TestLegacySnapshotStillLoads(t *testing.T) {
-	ds := testDatasetCached(t)
-	e := builtEngine(t, ds)
-	var buf bytes.Buffer
-	if _, err := e.writeLegacyTo(&buf); err != nil {
-		t.Fatalf("writeLegacyTo: %v", err)
-	}
-	restored, err := ReadEngine(&buf)
-	if err != nil {
-		t.Fatalf("ReadEngine(legacy): %v", err)
-	}
-	if restored.Len() != e.Len() {
-		t.Fatalf("restored Len = %d, want %d", restored.Len(), e.Len())
-	}
-	qs, err := ds.Queries(4, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range qs {
-		orig, err := e.Query(q.Probe, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := restored.Query(q.Probe, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(orig) != len(back) {
-			t.Fatalf("query %d: %d vs %d results", qi, len(orig), len(back))
-		}
-		for i := range orig {
-			if orig[i] != back[i] {
-				t.Fatalf("query %d result %d differs", qi, i)
-			}
-		}
-	}
-}
-
 // Every single-byte corruption of a container snapshot must be rejected
 // with ErrBadSnapshot — that is the point of the per-section CRCs. The
 // sweep samples the payload (stride) but covers the header densely.
 func TestContainerDetectsEveryByteFlip(t *testing.T) {
 	snap := containerSnapshot(t)
-	headerLen := 8 + 4 + 4 + 3*16 + 4
+	headerLen := offConfig
 	check := func(off int) {
 		mut := bytes.Clone(snap)
 		mut[off] ^= 0x40
@@ -107,7 +67,7 @@ func TestContainerDetectsEveryByteFlip(t *testing.T) {
 // lengths live in the header, so a torn tail can never decode.
 func TestContainerDetectsTruncation(t *testing.T) {
 	snap := containerSnapshot(t)
-	cuts := []int{0, 1, 7, 8, 9, 15, 16, 20, 40, 8 + 4 + 4 + 3*16 + 3}
+	cuts := []int{0, 1, 7, 8, 9, 15, 16, 20, 40, offConfig - 1}
 	for _, frac := range []float64{0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999} {
 		cuts = append(cuts, int(float64(len(snap))*frac))
 	}

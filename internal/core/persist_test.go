@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -70,11 +71,13 @@ func TestReadEngineRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     {},
 		"bad magic": []byte("NOTANIDX12345678"),
-		"truncated": append([]byte("FASTIDX1"), 1, 2, 3),
+		"truncated": append([]byte("FASTSNP1"), 1, 2, 3),
+		// FASTSNP1 is the only format read; any other magic is corrupt.
+		"FASTIDX1 prefix": append([]byte("FASTIDX1"), containerSnapshot(t)[8:]...),
 	}
 	for name, data := range cases {
-		if _, err := ReadEngine(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: ReadEngine should fail", name)
+		if _, err := ReadEngine(bytes.NewReader(data)); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: ReadEngine = %v, want ErrBadSnapshot", name, err)
 		}
 	}
 }

@@ -28,7 +28,8 @@ import (
 // The invariant both tiers preserve is byte-identical answers: a cache hit
 // returns exactly the slice an uncached query would have computed, at every
 // cache size and around every mutation. querycache_test.go enforces it by
-// sweeping cached engines against QueryUncached.
+// sweeping cached engines against QueryUncached, the same search with both
+// tiers bypassed.
 //
 // Epoch discipline: the T2 lookup key uses the engine epoch read *before*
 // the search, but the computed result is stored under the epoch of the view
@@ -130,6 +131,15 @@ func (e *Engine) probeSummary(img *simimg.Image) (*bloom.Sparse, error) {
 		}
 		return bloom.ToSparse(f), nil
 	}
+	ent, err := e.cachedSummary(sc, v, img)
+	return ent.sparse, err
+}
+
+// cachedSummary is the one T1 lookup behind Summarize and probeSummary:
+// the raster fingerprint, derived by the view's basisGen, keys a
+// singleflighted FE+SM against the view's basis. The entry is shared with
+// the cache; callers must not mutate it.
+func (e *Engine) cachedSummary(sc *cache.Cache[summaryEntry], v *readView, img *simimg.Image) (summaryEntry, error) {
 	key := cache.ImageKey(img.W, img.H, img.Pix).Derive(v.basisGen)
 	ent, _, err := sc.GetOrCompute(key, func() (summaryEntry, error) {
 		f, err := e.summarizeWith(v.pca, img)
@@ -138,10 +148,7 @@ func (e *Engine) probeSummary(img *simimg.Image) (*bloom.Sparse, error) {
 		}
 		return summaryEntry{sparse: bloom.ToSparse(f), filter: f}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return ent.sparse, nil
+	return ent, err
 }
 
 // searchCached runs the search back half through T2 when enabled. Hits and
@@ -174,14 +181,20 @@ func (e *Engine) searchCached(ps *bloom.Sparse, topK, workers int) ([]SearchResu
 	return append([]SearchResult(nil), v...), nil
 }
 
-// QueryUncached answers a probe while bypassing both cache tiers — the
-// reference path the equivalence tests and bench/ compare cached answers
-// against, byte for byte.
+// QueryUncached answers a probe while bypassing both cache tiers: FE+SM
+// against the published view's basis, then the search back half on the
+// published view — exactly what Query computes with both tiers disabled.
+// The cache equivalence tests and bench/ compare cached answers against it,
+// byte for byte.
 func (e *Engine) QueryUncached(img *simimg.Image, topK int) ([]SearchResult, error) {
 	if topK <= 0 {
 		return nil, fmt.Errorf("core: topK must be positive, got %d", topK)
 	}
-	f, err := e.summarizeUncached(img)
+	v := e.view.Load()
+	if v == nil {
+		return nil, errors.New("core: engine not built")
+	}
+	f, err := e.summarizeWith(v.pca, img)
 	if err != nil {
 		return nil, err
 	}
@@ -189,5 +202,6 @@ func (e *Engine) QueryUncached(img *simimg.Image, topK int) ([]SearchResult, err
 	if len(ps.Bits) == 0 {
 		return nil, nil
 	}
-	return e.searchSummary(ps, topK)
+	out, _, err := e.searchView(ps, topK, 1)
+	return out, err
 }

@@ -41,10 +41,13 @@ import (
 // every stored summary keeps a packed []uint64 image of its bits alongside
 // the sparse form, and scoring runs fused AND+popcount/OR+popcount over
 // those words (bloom.AndOrCount) instead of merging sorted position lists.
-// The integer cardinalities are identical to the sparse merge, so scores —
-// and therefore answers — are byte-identical to the locked reference path
-// (QueryUncached), which the equivalence tests enforce at every worker
-// count and under concurrent churn.
+// The integer cardinalities are identical to the sparse merge, so scores
+// are the summaries' exact Jaccard similarities.
+//
+// searchView is the engine's only search back half: Query, QuerySummary,
+// QueryBatch and QueryUncached all run it. view_test.go checks it against a
+// rebuild oracle (a fresh all-RAM engine fed the live (id, summary) set)
+// after every kind of mutation and at every worker count.
 
 // readView is one immutable, atomically published index snapshot.
 type readView struct {
@@ -133,7 +136,6 @@ var viewScratchPool = sync.Pool{New: func() interface{} { return new(viewScratch
 // searchView runs SA+CHS+ranking for a prepared probe summary against the
 // published view — no engine lock, no shared-state writes beyond the
 // striped sim counters — and reports the epoch its answer is valid for.
-// Results are byte-identical to the locked reference path (searchSummary).
 func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]SearchResult, uint64, error) {
 	v := e.view.Load()
 	if v == nil {
@@ -192,8 +194,8 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 				continue
 			}
 			ent := &v.entries[slot]
-			// Charge the summary fetch exactly as the locked path does
-			// (which charges every found candidate before scoring).
+			// Charge the summary fetch of every found candidate, scored
+			// or not (the O(1) flat addressing: constant work each).
 			sz := int64(ent.summary.SizeBytes())
 			qc.charge(e.ram.RandomRead(sz), sz)
 			if ent.summary.M != probeSparse.M {
@@ -259,8 +261,11 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 	}
 	sortResults(kept)
 
-	// Group expansion against the same view (see searchSummary for the
-	// rationale).
+	// Group expansion against the same view: the strongest hits are
+	// members of the probe's correlated group; their stored summaries are
+	// clean representatives of that group, so re-querying with them
+	// recovers groupmates the noisy probe missed (false-negative
+	// suppression, Section III-C2).
 	if v.expand > 0 {
 		if sc.inResult == nil {
 			sc.inResult = make(map[uint64]bool, len(kept))

@@ -12,25 +12,80 @@ import (
 	"github.com/fastrepro/fast/internal/simimg"
 )
 
-// The read-view invariant: Query and QuerySummary (published-view path,
-// word-parallel scoring) answer byte-identically to QueryUncached (locked
-// reference path, sparse-merge scoring) — at every worker count, through
-// every mutation, and around a snapshot round trip.
+// The read-view invariant: Query, QueryUncached and QuerySummary (the
+// published view at every worker count) answer byte-identically to a
+// rebuild oracle — a fresh all-RAM engine fed the live (id, summary) set —
+// through every mutation and around a snapshot round trip.
 
-// assertViewMatchesLocked compares the view path at several worker counts
-// against one locked reference answer for the same probe.
-func assertViewMatchesLocked(t *testing.T, e *Engine, img *simimg.Image, topK int, label string) {
+// rebuildOracle builds a fresh all-RAM engine from e's live (id, summary)
+// set under e's trained basis and config, with both cache tiers and the
+// cold tier off, through the same allocLocked + storeLocked + publishLocked
+// steps Build takes after training. Cold-resident summaries come back from
+// their packed words on disk (the exact inverse of packing). Answers are
+// totally ordered (score desc, id asc), so the oracle's bucket and cell
+// order cannot change them: any difference from e's published view is a
+// view that missed a mutation, or a live structure that drifted from the
+// entries it indexes.
+func rebuildOracle(t *testing.T, e *Engine) *Engine {
 	t.Helper()
-	want, err := e.QueryUncached(img, topK)
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	cfg := e.cfg
+	cfg.SummaryCache, cfg.ResultCache = 0, 0
+	cfg.ColdDir, cfg.ColdWatermark = "", 0
+	o := NewEngine(cfg)
+	o.pcasift, o.basisGen = e.pcasift, e.basisGen
+
+	var live []entry
+	for _, ent := range e.entries {
+		if ent.summary != nil {
+			live = append(live, ent)
+		}
+	}
+	if e.cold != nil {
+		cv := e.cold.View()
+		scratch := make([]uint64, bloom.PackedWords(cfg.Summary.Bits))
+		for _, id := range e.coldOnlyLocked() {
+			seg, rec, ok := cv.Lookup(id)
+			if !ok {
+				t.Fatalf("rebuild oracle: cold id %d has no record", id)
+			}
+			bits := bloom.AppendBits(nil, seg.RecordWords(rec, scratch))
+			live = append(live, entry{id: id, summary: &bloom.Sparse{M: cfg.Summary.Bits, K: cfg.Summary.K, Bits: bits}})
+		}
+	}
+	if err := o.allocLocked(len(live)); err != nil {
+		t.Fatalf("rebuild oracle: %v", err)
+	}
+	for _, ent := range live {
+		if err := o.storeLocked(ent.id, ent.summary); err != nil {
+			t.Fatalf("rebuild oracle: storing %d: %v", ent.id, err)
+		}
+	}
+	o.publishLocked()
+	return o
+}
+
+// assertViewMatchesRebuild compares every search entry point of e, the
+// view path at several worker counts included, against oracle's answer for
+// the same probe summary.
+func assertViewMatchesRebuild(t *testing.T, e, oracle *Engine, img *simimg.Image, topK int, label string) {
+	t.Helper()
+	ps := probeSparse(t, e, img)
+	want, err := oracle.QuerySummary(ps, topK, 1)
 	if err != nil {
-		t.Fatalf("%s: QueryUncached: %v", label, err)
+		t.Fatalf("%s: oracle: %v", label, err)
 	}
 	got, err := e.Query(img, topK)
 	if err != nil {
 		t.Fatalf("%s: Query: %v", label, err)
 	}
 	sameResults(t, label+"/Query", got, want)
-	ps := probeSparse(t, e, img)
+	got, err = e.QueryUncached(img, topK)
+	if err != nil {
+		t.Fatalf("%s: QueryUncached: %v", label, err)
+	}
+	sameResults(t, label+"/QueryUncached", got, want)
 	for _, workers := range []int{1, 2, 8} {
 		got, err := e.QuerySummary(ps, topK, workers)
 		if err != nil {
@@ -40,19 +95,21 @@ func assertViewMatchesLocked(t *testing.T, e *Engine, img *simimg.Image, topK in
 	}
 }
 
-func TestViewMatchesLockedPath(t *testing.T) {
+func TestViewMatchesRebuildPath(t *testing.T) {
 	ds := testDatasetCached(t)
 	e := builtEngine(t, ds)
+	oracle := rebuildOracle(t, e)
 	for i := 0; i < 12; i++ {
-		assertViewMatchesLocked(t, e, ds.Photos[i*7%len(ds.Photos)].Img, 20, fmt.Sprintf("probe %d", i))
+		assertViewMatchesRebuild(t, e, oracle, ds.Photos[i*7%len(ds.Photos)].Img, 20, fmt.Sprintf("probe %d", i))
 	}
 }
 
-// TestViewMatchesLockedThroughMutations runs every kind of mutator in turn.
+// TestViewMatchesRebuildThroughMutations runs every kind of mutator in turn.
 // No mutator tells the publish step what it changed, so after each one the
-// published view must answer exactly like the locked path again, and a view
-// loaded before the step must still answer as it did (snapshot isolation).
-func TestViewMatchesLockedThroughMutations(t *testing.T) {
+// published view must answer exactly like a rebuild of the live set, and a
+// view loaded before the step must still answer as it did (snapshot
+// isolation).
+func TestViewMatchesRebuildThroughMutations(t *testing.T) {
 	ds := testDataset(t)
 	tiered := builtEngine(t, ds)
 	if _, err := tiered.EnableColdTier(t.TempDir(), 0, 0); err != nil {
@@ -203,8 +260,9 @@ func TestViewMatchesLockedThroughMutations(t *testing.T) {
 		return out
 	}
 	e := tiered
+	oracle := rebuildOracle(t, e)
 	for i, img := range probes {
-		assertViewMatchesLocked(t, e, img, 15, fmt.Sprintf("initial/probe %d", i))
+		assertViewMatchesRebuild(t, e, oracle, img, 15, fmt.Sprintf("initial/probe %d", i))
 	}
 	for _, st := range steps {
 		old := e.view.Load()
@@ -221,15 +279,16 @@ func TestViewMatchesLockedThroughMutations(t *testing.T) {
 		}
 
 		e = next
+		oracle := rebuildOracle(t, e)
 		for i, img := range probes {
-			assertViewMatchesLocked(t, e, img, 15, fmt.Sprintf("after %s/probe %d", st.name, i))
+			assertViewMatchesRebuild(t, e, oracle, img, 15, fmt.Sprintf("after %s/probe %d", st.name, i))
 		}
 	}
 }
 
-// TestViewMatchesLockedAfterSnapshotRoundTrip verifies a restored engine
-// publishes a view equivalent to its locked state.
-func TestViewMatchesLockedAfterSnapshotRoundTrip(t *testing.T) {
+// TestViewMatchesRebuildAfterSnapshotRoundTrip verifies a restored engine
+// publishes a view equivalent to a rebuild of its restored state.
+func TestViewMatchesRebuildAfterSnapshotRoundTrip(t *testing.T) {
 	ds := testDatasetCached(t)
 	e := builtEngine(t, ds)
 	var buf bytes.Buffer
@@ -240,9 +299,10 @@ func TestViewMatchesLockedAfterSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadEngine: %v", err)
 	}
+	oracle := rebuildOracle(t, r)
 	for i := 0; i < 6; i++ {
 		img := ds.Photos[i*11%len(ds.Photos)].Img
-		assertViewMatchesLocked(t, r, img, 20, fmt.Sprintf("restored probe %d", i))
+		assertViewMatchesRebuild(t, r, oracle, img, 20, fmt.Sprintf("restored probe %d", i))
 		// Restored and original engines agree with each other too.
 		a, err := e.QueryUncached(img, 20)
 		if err != nil {
@@ -262,10 +322,10 @@ func TestViewMatchesLockedAfterSnapshotRoundTrip(t *testing.T) {
 // TestViewEquivalenceUnderChurn races view-path queries at several worker
 // counts against a mutator thread. Every answer must be *some* legal
 // linearization; the test checks the strong form the engine promises — each
-// answer is byte-identical to the locked reference path evaluated at a
-// quiesced point before or after the churn window for the probes that no
-// mutation touches, and for touched probes it checks invariants (no deleted
-// id is ever returned after its delete is known quiesced).
+// answer is byte-identical to the rebuild oracle evaluated at a quiesced
+// point before or after the churn window for the probes that no mutation
+// touches, and for touched probes it checks invariants (no deleted id is
+// ever returned after its delete is known quiesced).
 func TestViewEquivalenceUnderChurn(t *testing.T) {
 	ds := testDataset(t)
 	e := builtEngine(t, ds)
@@ -340,10 +400,11 @@ func TestViewEquivalenceUnderChurn(t *testing.T) {
 	if queries.Load() == 0 {
 		t.Fatal("no queries completed during churn")
 	}
-	// Quiesced: the churn is net-zero, so every stable probe must match the
-	// locked reference exactly again.
+	// Quiesced: the churn is net-zero, so every stable probe must match a
+	// rebuild of the live set exactly again.
+	oracle := rebuildOracle(t, e)
 	for i, img := range stable {
-		assertViewMatchesLocked(t, e, img, 10, fmt.Sprintf("quiesced probe %d", i))
+		assertViewMatchesRebuild(t, e, oracle, img, 10, fmt.Sprintf("quiesced probe %d", i))
 	}
 }
 

@@ -154,21 +154,6 @@ func (t *Standard) Len() int { return t.n }
 // Cap returns the number of cells.
 func (t *Standard) Cap() int { return len(t.cells) }
 
-// Range calls fn for every stored entry; iteration stops if fn returns
-// false.
-func (t *Standard) Range(fn func(key, value uint64) bool) {
-	for _, c := range t.cells {
-		if c.Key != 0 && !fn(c.Key, c.Value) {
-			return
-		}
-	}
-	for _, c := range t.stash {
-		if !fn(c.Key, c.Value) {
-			return
-		}
-	}
-}
-
 // Stats returns cumulative statistics.
 func (t *Standard) Stats() Stats { return t.stats }
 

@@ -322,56 +322,3 @@ func TestFlatRoundTripProperty(t *testing.T) {
 
 var _ Table = (*Standard)(nil)
 var _ Table = (*Flat)(nil)
-
-func TestRangeVisitsAllEntries(t *testing.T) {
-	flat, _ := NewFlat(256, 2, 0, 1)
-	want := map[uint64]uint64{}
-	for k := uint64(1); k <= 100; k++ {
-		want[k] = k * 3
-		if err := flat.Insert(k, k*3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := map[uint64]uint64{}
-	flat.Range(func(k, v uint64) bool {
-		got[k] = v
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Range visited %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("Range[%d] = %d, want %d", k, got[k], v)
-		}
-	}
-	// Early termination.
-	count := 0
-	flat.Range(func(uint64, uint64) bool {
-		count++
-		return count < 10
-	})
-	if count != 10 {
-		t.Errorf("early-terminated Range visited %d", count)
-	}
-}
-
-func TestStandardRange(t *testing.T) {
-	std, _ := NewStandard(256, 0, 1)
-	for k := uint64(1); k <= 50; k++ {
-		if err := std.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n := 0
-	std.Range(func(k, v uint64) bool {
-		if k != v {
-			t.Fatalf("Range pair (%d,%d)", k, v)
-		}
-		n++
-		return true
-	})
-	if n != 50 {
-		t.Errorf("visited %d entries, want 50", n)
-	}
-}

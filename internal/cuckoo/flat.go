@@ -152,25 +152,6 @@ func (t *Flat) Cap() int {
 	return len(t.shards) * len(t.shards[0].cells)
 }
 
-// Range calls fn for every stored entry; iteration stops if fn returns
-// false. Shards are visited in order; the table must not be mutated from
-// within fn.
-func (t *Flat) Range(fn func(key, value uint64) bool) {
-	for s := range t.shards {
-		sh := &t.shards[s]
-		for _, c := range sh.cells {
-			if c.Key != 0 && !fn(c.Key, c.Value) {
-				return
-			}
-		}
-		for _, c := range sh.stash {
-			if !fn(c.Key, c.Value) {
-				return
-			}
-		}
-	}
-}
-
 // Stats returns cumulative statistics aggregated over all shards.
 func (t *Flat) Stats() Stats {
 	var total Stats
