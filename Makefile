@@ -25,8 +25,11 @@ bench-test:
 race:
 	$(GO) test -race -short -timeout=45m ./internal/...
 
+# The engine counts storage work; internal/experiments models it. No device
+# model may appear in internal/core's non-test code.
 vet:
 	$(GO) vet ./...
+	@! grep -rnE 'store\.(DiskModel|RAM|SSD|HDD7200)\b' internal/core --include='*.go' --exclude='*_test.go'
 
 # Bench smoke: one iteration of every benchmark proves the measurement
 # harness still compiles and runs; it is not a performance gate.

@@ -35,7 +35,6 @@ import (
 	"github.com/fastrepro/fast/internal/feature"
 	"github.com/fastrepro/fast/internal/lsh"
 	"github.com/fastrepro/fast/internal/simimg"
-	"github.com/fastrepro/fast/internal/store"
 	"github.com/fastrepro/fast/internal/tiered"
 )
 
@@ -63,9 +62,10 @@ type Probe struct {
 	Loc *simimg.GeoPoint
 }
 
-// SimCost accumulates the simulated storage charges a pipeline incurs; the
-// cluster-scale experiments convert operation counts into modeled time via
-// the store package's device models.
+// SimCost accumulates the storage work a pipeline incurs. The FAST engine
+// reports counts only (Accesses, BytesMoved); the baselines also report
+// modeled time from the store package's device models, and the cluster-scale
+// experiments convert FAST's counts with the same models.
 type SimCost struct {
 	StorageTime time.Duration // modeled storage latency (disk or RAM)
 	ComputeTime time.Duration // modeled CPU work not executed for real
@@ -85,7 +85,8 @@ type Pipeline interface {
 	Search(probe Probe, topK int) ([]SearchResult, error)
 	// IndexBytes reports the index's resident size (Table IV).
 	IndexBytes() int64
-	// SimCost reports accumulated simulated storage charges.
+	// SimCost reports accumulated storage work: counts for FAST, counts
+	// and modeled time for the baselines.
 	SimCost() SimCost
 }
 
@@ -138,19 +139,6 @@ type Config struct {
 	// stop being addressable and can never be served stale. 0 disables the
 	// tier. Like SummaryCache, answers are byte-identical either way.
 	ResultCache int
-	// ColdDir, when non-empty, names the directory of the disk-resident
-	// cold tier (see internal/tiered and tiered.go): entries migrated out
-	// of RAM keep answering queries from mmap'd postings, byte-identically
-	// to an all-RAM engine over the union corpus. The tier attaches via
-	// OpenColdTier/EnableColdTier, not at construction — it needs a built
-	// index to pin its geometry.
-	ColdDir string
-	// ColdWatermark, when positive, bounds the hot tier: the background
-	// compactor migrates the oldest entries to disk whenever the resident
-	// count exceeds it. 0 leaves migration fully manual (MigrateCold).
-	ColdWatermark int
-	// ColdBatch is the migration batch size; 0 means 256.
-	ColdBatch int
 }
 
 func (c Config) withDefaults() Config {
@@ -180,23 +168,6 @@ type entry struct {
 	words   []uint64
 }
 
-// simStripeCount is the number of independently updated SimCost counter
-// stripes (a power of two). Queries accumulate their charges in a local,
-// allocation-free scratch SimCost and flush it with one stripe visit, so
-// concurrent queries touch different stripes and never serialize on the
-// accounting.
-const simStripeCount = 8
-
-// simStripe is one cache-line-isolated slice of the simulated-cost
-// counters; all fields are updated atomically.
-type simStripe struct {
-	storageNS atomic.Int64
-	computeNS atomic.Int64
-	accesses  atomic.Int64
-	bytes     atomic.Int64
-	_         [4]int64 // pad to a full cache line against false sharing
-}
-
 // Engine is the FAST index.
 type Engine struct {
 	cfg Config
@@ -218,9 +189,10 @@ type Engine struct {
 	view     atomic.Pointer[readView]
 	basisGen uint64
 
-	ram     store.DiskModel // cost model for the in-memory index
-	simTick atomic.Uint32   // round-robins charges across stripes
-	sim     [simStripeCount]simStripe
+	// Summary accesses and the bytes they moved: one per stored entry and
+	// per candidate or groupmate a query fetches (see SimCost).
+	accesses    atomic.Int64
+	accessBytes atomic.Int64
 
 	// The tiered read-path cache (see querycache.go). epoch versions the
 	// index contents: every mutation bumps it under the write lock, and the
@@ -235,20 +207,21 @@ type Engine struct {
 	resCacheCap atomic.Int64 // configured T2 bound (0 = disabled)
 
 	// The disk-resident cold tier (see tiered.go); nil until
-	// EnableColdTier/OpenColdTier/AdoptColdTier attaches one. All guarded
-	// by mu; lock-free queries reach the cold tier only through the view
-	// snapshot publishLocked captures. Lock order is always e.mu before the
-	// tiered store's internal lock.
-	cold     *tiered.Store
-	coldDisk store.DiskModel // cost model for cold bucket scans
-	coldKick chan struct{}   // non-blocking over-watermark nudge to the compactor
-	coldStop chan struct{}   // closed to stop the compactor
-	coldDone chan struct{}   // closed by the compactor on exit
+	// EnableColdTier/AdoptColdTier attaches one. All guarded by mu;
+	// lock-free queries reach the cold tier only through the view snapshot
+	// publishLocked captures. Lock order is always e.mu before the tiered
+	// store's internal lock.
+	cold          *tiered.Store
+	coldWatermark int           // hot-tier bound; 0 leaves migration manual
+	coldBatch     int           // compactor migration batch size
+	coldKick      chan struct{} // non-blocking over-watermark nudge to the compactor
+	coldStop      chan struct{} // closed to stop the compactor
+	coldDone      chan struct{} // closed by the compactor on exit
 }
 
 // NewEngine returns an unbuilt engine; Build must run before Query/Insert.
 func NewEngine(cfg Config) *Engine {
-	e := &Engine{cfg: cfg.withDefaults(), ram: store.RAM()}
+	e := &Engine{cfg: cfg.withDefaults()}
 	e.ConfigureCache(e.cfg.SummaryCache, e.cfg.ResultCache)
 	return e
 }
@@ -514,13 +487,13 @@ type EngineStats struct {
 	TableShards int    // copy-on-write shards of the flat table
 	Table       cuckoo.Stats
 	LSH         lsh.BucketStats
-	Sim         SimCost
 	Tiered      TieredStats // cold-tier block; Enabled=false when detached
 }
 
 // Stats returns a consistent aggregate of the engine's counters: photo and
-// tombstone counts, resident index size, copy-on-write shard geometry and
-// the data-structure statistics the per-field accessors expose individually.
+// tombstone counts, resident index size, copy-on-write shard geometry, the
+// flat table's and LSH index's statistics (zero before Build) and the
+// cold-tier block.
 func (e *Engine) Stats() EngineStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -531,7 +504,6 @@ func (e *Engine) Stats() EngineStats {
 		Entries:    len(e.entries),
 		Epoch:      e.PublishedEpoch(),
 		IndexBytes: e.indexBytesLocked(),
-		Sim:        e.simLocked(),
 	}
 	if e.index != nil {
 		st.LSH = e.index.Stats()
@@ -557,90 +529,27 @@ func (e *Engine) Stats() EngineStats {
 			SpillProbes:         cs.SpillProbes,
 			ColdPostingsScanned: cs.PostingsScanned,
 			ColdBytesScanned:    cs.BytesScanned,
-			Watermark:           e.cfg.ColdWatermark,
+			Watermark:           e.coldWatermark,
 		}
 	}
 	return st
 }
 
-// TableStats exposes the flat table's counters (Figure 6 instrumentation).
-func (e *Engine) TableStats() cuckoo.Stats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.table == nil {
-		return cuckoo.Stats{}
-	}
-	return e.table.Stats()
+// countAccesses adds n summary accesses that moved bytes.
+func (e *Engine) countAccesses(n, bytes int64) {
+	e.accesses.Add(n)
+	e.accessBytes.Add(bytes)
 }
 
-// Shards reports the copy-on-write shard counts of the two index structures
-// (per LSH band, and for the flat cuckoo table); (0, 0) before Build.
-func (e *Engine) Shards() (lshShards, tableShards int) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.index != nil {
-		lshShards = e.index.Shards()
+// SimCost implements Pipeline with counts only: summary accesses and their
+// bytes, plus the attached cold tier's bucket probes and bytes scanned. The
+// engine models no time; internal/experiments converts the counts.
+func (e *Engine) SimCost() SimCost {
+	cs := e.ColdStats()
+	return SimCost{
+		Accesses:   e.accesses.Load() + cs.SpillProbes,
+		BytesMoved: e.accessBytes.Load() + cs.BytesScanned,
 	}
-	if e.table != nil {
-		tableShards = e.table.Shards()
-	}
-	return lshShards, tableShards
-}
-
-// LSHStats exposes LSH bucket occupancy.
-func (e *Engine) LSHStats() lsh.BucketStats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.index == nil {
-		return lsh.BucketStats{}
-	}
-	return e.index.Stats()
-}
-
-// chargeSim records one modeled storage access.
-func (e *Engine) chargeSim(latency time.Duration, bytes int64) {
-	s := &e.sim[e.simTick.Add(1)&(simStripeCount-1)]
-	s.storageNS.Add(int64(latency))
-	s.accesses.Add(1)
-	s.bytes.Add(bytes)
-}
-
-// charge accumulates one modeled storage access into a per-query scratch
-// SimCost (stack-allocated by the caller; no locks, no allocations).
-func (c *SimCost) charge(latency time.Duration, bytes int64) {
-	c.StorageTime += latency
-	c.Accesses++
-	c.BytesMoved += bytes
-}
-
-// flushSim folds a per-query scratch SimCost into the striped counters with
-// a single stripe visit.
-func (e *Engine) flushSim(c SimCost) {
-	if c.Accesses == 0 && c.StorageTime == 0 && c.ComputeTime == 0 && c.BytesMoved == 0 {
-		return
-	}
-	s := &e.sim[e.simTick.Add(1)&(simStripeCount-1)]
-	s.storageNS.Add(int64(c.StorageTime))
-	s.computeNS.Add(int64(c.ComputeTime))
-	s.accesses.Add(c.Accesses)
-	s.bytes.Add(c.BytesMoved)
-}
-
-// SimCost implements Pipeline, summing the counter stripes.
-func (e *Engine) SimCost() SimCost { return e.simLocked() }
-
-// simLocked sums the counter stripes; the stripes are atomic, so no lock is
-// actually required — the name records that it is safe under e.mu too.
-func (e *Engine) simLocked() SimCost {
-	var c SimCost
-	for i := range e.sim {
-		s := &e.sim[i]
-		c.StorageTime += time.Duration(s.storageNS.Load())
-		c.ComputeTime += time.Duration(s.computeNS.Load())
-		c.Accesses += s.accesses.Load()
-		c.BytesMoved += s.bytes.Load()
-	}
-	return c
 }
 
 var _ Pipeline = (*Engine)(nil)

@@ -295,21 +295,19 @@ func TestIndexBytesSmallVersusRawFeatures(t *testing.T) {
 
 func TestStatsAccessors(t *testing.T) {
 	e := NewEngine(Config{})
-	if st := e.TableStats(); st.Inserts != 0 {
-		t.Error("unbuilt engine has table stats")
-	}
-	if st := e.LSHStats(); st.Buckets != 0 {
-		t.Error("unbuilt engine has LSH stats")
+	if st := e.Stats(); st.Table.Inserts != 0 || st.LSH.Buckets != 0 || st.LSHShards != 0 || st.TableShards != 0 {
+		t.Errorf("unbuilt engine has index stats: %+v", st)
 	}
 	ds := testDataset(t)
 	e = builtEngine(t, ds)
-	if st := e.TableStats(); st.Inserts != len(ds.Photos) {
-		t.Errorf("table inserts = %d, want %d", st.Inserts, len(ds.Photos))
+	st := e.Stats()
+	if st.Table.Inserts != len(ds.Photos) {
+		t.Errorf("table inserts = %d, want %d", st.Table.Inserts, len(ds.Photos))
 	}
-	if st := e.LSHStats(); st.TotalRefs == 0 {
+	if st.LSH.TotalRefs == 0 {
 		t.Error("LSH has no references after build")
 	}
-	if e.TableStats().Failures != 0 {
+	if st.Table.Failures != 0 {
 		t.Error("flat table failed during build at low load")
 	}
 }
@@ -383,9 +381,8 @@ func TestIndexLayoutIgnoresHost(t *testing.T) {
 		if _, err := e.Build(ds.Photos); err != nil {
 			t.Fatalf("Build at GOMAXPROCS=%d: %v", procs, err)
 		}
-		var l layout
-		l.lshShards, l.tableShards = e.Shards()
-		l.table = e.TableStats()
+		st := e.Stats()
+		l := layout{lshShards: st.LSHShards, tableShards: st.TableShards, table: st.Table}
 		var buf bytes.Buffer
 		if _, err := e.WriteTo(&buf); err != nil {
 			t.Fatalf("WriteTo: %v", err)

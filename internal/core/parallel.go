@@ -310,7 +310,7 @@ func (e *Engine) storeLocked(id uint64, sparse *bloom.Sparse) error {
 		return fmt.Errorf("flat table: %w", err)
 	}
 	e.epoch.Add(1) // retire result-cache entries computed before the insert
-	e.chargeSim(e.ram.RandomWrite(int64(sparse.SizeBytes())), int64(sparse.SizeBytes()))
+	e.countAccesses(1, int64(sparse.SizeBytes()))
 	e.maybeKickColdLocked()
 	return nil
 }

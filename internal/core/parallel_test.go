@@ -16,8 +16,8 @@ func assertEnginesEqual(t *testing.T, label string, seq, par *Engine) {
 	if par.IndexBytes() != seq.IndexBytes() {
 		t.Errorf("%s: index sizes differ: %d vs %d", label, par.IndexBytes(), seq.IndexBytes())
 	}
-	if par.LSHStats() != seq.LSHStats() {
-		t.Errorf("%s: LSH stats differ: %+v vs %+v", label, par.LSHStats(), seq.LSHStats())
+	if p, s := par.Stats().LSH, seq.Stats().LSH; p != s {
+		t.Errorf("%s: LSH stats differ: %+v vs %+v", label, p, s)
 	}
 	ds := testDatasetCached(t)
 	qs, err := ds.Queries(6, 31)
@@ -56,7 +56,7 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential build: %v", err)
 	}
-	seqTable := seq.TableStats()
+	seqTable := seq.Stats().Table
 
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
@@ -71,7 +71,7 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 			// Cuckoo insertion counters (kicks, neighbor hits, ...) depend
 			// only on the key sequence, which the ordered committer
 			// preserves exactly.
-			if got := par.TableStats(); got != seqTable {
+			if got := par.Stats().Table; got != seqTable {
 				t.Fatalf("table stats diverge: %+v vs %+v", got, seqTable)
 			}
 			assertEnginesEqual(t, fmt.Sprintf("workers=%d", workers), seq, par)
@@ -91,8 +91,8 @@ func TestBuildDefaultConfigUsesPipeline(t *testing.T) {
 	if _, err := def.Build(ds.Photos); err != nil {
 		t.Fatal(err)
 	}
-	if def.TableStats() != seq.TableStats() {
-		t.Fatalf("table stats diverge: %+v vs %+v", def.TableStats(), seq.TableStats())
+	if d, s := def.Stats().Table, seq.Stats().Table; d != s {
+		t.Fatalf("table stats diverge: %+v vs %+v", d, s)
 	}
 	assertEnginesEqual(t, "default-config", seq, def)
 }
@@ -119,7 +119,7 @@ func TestInsertBatchMatchesSequentialInsert(t *testing.T) {
 			t.Fatalf("sequential insert %d: %v", p.ID, err)
 		}
 	}
-	seqTable := seq.TableStats()
+	seqTable := seq.Stats().Table
 
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
@@ -131,7 +131,7 @@ func TestInsertBatchMatchesSequentialInsert(t *testing.T) {
 			if st.Photos != len(stream) || st.Descriptors == 0 {
 				t.Fatalf("batch stats: %+v", st)
 			}
-			if got := par.TableStats(); got != seqTable {
+			if got := par.Stats().Table; got != seqTable {
 				t.Fatalf("table stats diverge: %+v vs %+v", got, seqTable)
 			}
 			assertEnginesEqual(t, fmt.Sprintf("insertbatch-%d", workers), seq, par)

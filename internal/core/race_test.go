@@ -38,8 +38,7 @@ func TestConcurrentQueriesAndStats(t *testing.T) {
 					}
 				case 1:
 					_ = e.SimCost()
-					_ = e.TableStats()
-					_ = e.LSHStats()
+					_ = e.Stats()
 					_ = e.Len()
 					_ = e.IndexBytes()
 				case 2:
@@ -122,8 +121,7 @@ func TestRaceQueryBatchWhileMutating(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < rounds*4; i++ {
 			_ = e.SimCost()
-			_ = e.TableStats()
-			_ = e.LSHStats()
+			_ = e.Stats()
 			_ = e.IndexBytes()
 			_ = e.Len()
 		}
@@ -206,7 +204,7 @@ func TestRaceInsertBatchWhileQueryBatch(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < rounds*4; i++ {
 			_ = e.SimCost()
-			_ = e.TableStats()
+			_ = e.Stats()
 			_ = e.IndexBytes()
 			_ = e.Len()
 		}

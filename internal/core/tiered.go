@@ -8,7 +8,6 @@ import (
 	"github.com/fastrepro/fast/internal/bloom"
 	"github.com/fastrepro/fast/internal/failpoint"
 	"github.com/fastrepro/fast/internal/lsh"
-	"github.com/fastrepro/fast/internal/store"
 	"github.com/fastrepro/fast/internal/tiered"
 )
 
@@ -91,8 +90,7 @@ func (e *Engine) EnableColdTier(dir string, watermark, batch int) ([]string, err
 		return nil, err
 	}
 	e.cold = cold
-	e.coldDisk = store.SSD()
-	e.cfg.ColdDir, e.cfg.ColdWatermark, e.cfg.ColdBatch = dir, watermark, batch
+	e.coldWatermark, e.coldBatch = watermark, batch
 	e.reconcileColdLocked()
 	e.epoch.Add(1) // answers now cover the union corpus
 	e.publishLocked()
@@ -103,20 +101,12 @@ func (e *Engine) EnableColdTier(dir string, watermark, batch int) ([]string, err
 	return swept, nil
 }
 
-// OpenColdTier is EnableColdTier driven by the Config.ColdTier* knobs; a
-// no-op when Config.ColdDir is empty.
-func (e *Engine) OpenColdTier() ([]string, error) {
-	if e.cfg.ColdDir == "" {
-		return nil, nil
-	}
-	return e.EnableColdTier(e.cfg.ColdDir, e.cfg.ColdWatermark, e.cfg.ColdBatch)
-}
-
 // AdoptColdTier transfers old's cold tier to e — the snapshot-restore hot
 // swap: the restored engine takes over the open store (mappings and all, so
 // in-flight queries against old keep scanning valid memory) instead of
 // re-opening the directory. old's compactor is stopped first; e's starts
-// under the carried-over watermark. A no-op when old has no cold tier.
+// under the carried-over watermark and batch size. A no-op when old has no
+// cold tier.
 func (e *Engine) AdoptColdTier(old *Engine) error {
 	if old == nil {
 		return nil
@@ -124,8 +114,7 @@ func (e *Engine) AdoptColdTier(old *Engine) error {
 	old.mu.Lock()
 	cold := old.cold
 	stop, done := old.coldStop, old.coldDone
-	dir, wm, batch := old.cfg.ColdDir, old.cfg.ColdWatermark, old.cfg.ColdBatch
-	disk := old.coldDisk
+	wm, batch := old.coldWatermark, old.coldBatch
 	old.cold = nil
 	old.coldStop, old.coldDone, old.coldKick = nil, nil, nil
 	old.mu.Unlock()
@@ -151,8 +140,7 @@ func (e *Engine) AdoptColdTier(old *Engine) error {
 		return fmt.Errorf("core: cold tier geometry does not match the restored engine")
 	}
 	e.cold = cold
-	e.coldDisk = disk
-	e.cfg.ColdDir, e.cfg.ColdWatermark, e.cfg.ColdBatch = dir, wm, batch
+	e.coldWatermark, e.coldBatch = wm, batch
 	e.reconcileColdLocked()
 	e.epoch.Add(1)
 	e.publishLocked()
@@ -237,7 +225,7 @@ func (e *Engine) removeHotLocked(ids []uint64) {
 // startCompactorLocked launches the background compactor when a watermark
 // is configured. Callers hold e.mu and have set e.cold.
 func (e *Engine) startCompactorLocked() {
-	if e.cfg.ColdWatermark <= 0 {
+	if e.coldWatermark <= 0 {
 		return
 	}
 	e.coldKick = make(chan struct{}, 1)
@@ -249,7 +237,7 @@ func (e *Engine) startCompactorLocked() {
 // maybeKickColdLocked nudges the compactor when the hot tier is over its
 // watermark; non-blocking, so the ingest path never waits on migration.
 func (e *Engine) maybeKickColdLocked() {
-	if e.coldKick == nil || e.table.Len() <= e.cfg.ColdWatermark {
+	if e.coldKick == nil || e.table.Len() <= e.coldWatermark {
 		return
 	}
 	select {
@@ -273,7 +261,7 @@ func (e *Engine) coldCompactor(cold *tiered.Store, kick, stop, done chan struct{
 		}
 		for {
 			e.mu.RLock()
-			hot, wm, batch := e.hotLenLocked(), e.cfg.ColdWatermark, e.cfg.ColdBatch
+			hot, wm, batch := e.hotLenLocked(), e.coldWatermark, e.coldBatch
 			e.mu.RUnlock()
 			if hot <= wm {
 				break
@@ -403,12 +391,12 @@ func (e *Engine) CompactColdTier() error {
 // passes weight 1 and no exclude set; group expansion passes the
 // representative's probe score and the ids already in the result, which
 // are skipped and extended. Scores are the same word-parallel Jaccard the
-// hot path computes over the same packed words. Every probed bucket is one
-// modeled seek + sequential transfer. No closures, no allocations beyond
-// dst growth.
+// hot path computes over the same packed words. The scan is counted once,
+// through coldStore's spill counters (non-empty buckets probed, postings
+// walked, bytes touched). No closures, no allocations beyond dst growth.
 func appendCold(cv *tiered.View, coldStore *tiered.Store, keys, words []uint64,
 	weight, minScore float64, exclude map[uint64]bool, seen map[lsh.ItemID]struct{},
-	dst []SearchResult, scratch []uint64, disk store.DiskModel, qc *SimCost) []SearchResult {
+	dst []SearchResult, scratch []uint64) []SearchResult {
 	var probes, recs, bytes int64
 	segs := cv.Segments()
 	for b, key := range keys {
@@ -420,9 +408,7 @@ func appendCold(cv *tiered.View, coldStore *tiered.Store, keys, words []uint64,
 			}
 			probes++
 			recs += int64(n)
-			bb := p.Bytes()
-			bytes += bb
-			qc.charge(disk.RandomRead(bb), bb)
+			bytes += p.Bytes()
 			for i := 0; i < n; i++ {
 				id := p.ID(i)
 				if !cv.Owns(id, si) {
@@ -446,8 +432,6 @@ func appendCold(cv *tiered.View, coldStore *tiered.Store, keys, words []uint64,
 			}
 		}
 	}
-	if coldStore != nil {
-		coldStore.NoteSpill(probes, recs, bytes)
-	}
+	coldStore.NoteSpill(probes, recs, bytes)
 	return dst
 }

@@ -209,6 +209,85 @@ func TestTieredByteIdentityProperty(t *testing.T) {
 	}
 }
 
+// TestSimCostCounts pins what Engine.SimCost counts on a tiered engine: a
+// query's access and byte deltas do not depend on the scoring-worker count,
+// they include exactly the cold tier's spill-probe and bytes-scanned deltas,
+// and one stored summary is one access of its own size. The engine models
+// no time.
+func TestSimCostCounts(t *testing.T) {
+	ds := testDatasetCached(t)
+	eng := builtEngine(t, ds)
+	if _, err := eng.EnableColdTier(t.TempDir(), 0, 0); err != nil {
+		t.Fatalf("EnableColdTier: %v", err)
+	}
+	defer eng.CloseColdTier()
+	if n, err := eng.MigrateCold(40); err != nil || n == 0 {
+		t.Fatalf("MigrateCold: n=%d err=%v", n, err)
+	}
+	qs, err := ds.Queries(4, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := probeSparses(t, eng, qs)
+
+	// counts is one reading of the exported counts, the cold tier's spill
+	// counters and the engine's own hot-tier counters.
+	type counts struct{ sim, cold, hot SimCost }
+	read := func() counts {
+		cs := eng.ColdStats()
+		return counts{
+			sim:  eng.SimCost(),
+			cold: SimCost{Accesses: cs.SpillProbes, BytesMoved: cs.BytesScanned},
+			hot:  SimCost{Accesses: eng.accesses.Load(), BytesMoved: eng.accessBytes.Load()},
+		}
+	}
+	delta := func(a, b SimCost) SimCost {
+		return SimCost{Accesses: a.Accesses - b.Accesses, BytesMoved: a.BytesMoved - b.BytesMoved}
+	}
+
+	var first SimCost
+	for _, workers := range []int{1, 2, 8} {
+		before := read()
+		for _, ps := range probes {
+			if _, err := eng.QuerySummary(ps, 60, workers); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+		}
+		after := read()
+		d, cold, hot := delta(after.sim, before.sim), delta(after.cold, before.cold), delta(after.hot, before.hot)
+		if cold.Accesses == 0 || hot.Accesses == 0 {
+			t.Fatalf("workers=%d: the probes must touch both tiers (hot %+v, cold %+v)", workers, hot, cold)
+		}
+		if d.Accesses != hot.Accesses+cold.Accesses || d.BytesMoved != hot.BytesMoved+cold.BytesMoved {
+			t.Errorf("workers=%d: delta %+v, want hot %+v + cold spill %+v", workers, d, hot, cold)
+		}
+		if after.sim.StorageTime != 0 || after.sim.ComputeTime != 0 {
+			t.Errorf("workers=%d: the engine modeled time: %+v", workers, after.sim)
+		}
+		if workers == 1 {
+			first = d
+		} else if d != first {
+			t.Errorf("workers=%d: delta %+v, workers=1 %+v", workers, d, first)
+		}
+	}
+
+	var s *bloom.Sparse
+	for _, id := range eng.IDs() {
+		if sp, ok := eng.SummaryOf(id); ok {
+			s = sp
+			break
+		}
+	}
+	before := eng.SimCost()
+	if err := eng.InsertSummary(12_000_000, s); err != nil {
+		t.Fatalf("InsertSummary: %v", err)
+	}
+	after := eng.SimCost()
+	if a, b := after.Accesses-before.Accesses, after.BytesMoved-before.BytesMoved; a != 1 || b != int64(s.SizeBytes()) {
+		t.Errorf("InsertSummary counted %d accesses, %d bytes; want 1, %d", a, b, s.SizeBytes())
+	}
+}
+
 // TestTieredCrashRecoveryMatrix kills a migration at each of the three
 // tiered failpoint sites — inside the segment write, between segment and
 // catalog publish, and between the cold publish and the hot removal — then

@@ -8,7 +8,6 @@ import (
 	"github.com/fastrepro/fast/internal/cuckoo"
 	"github.com/fastrepro/fast/internal/feature"
 	"github.com/fastrepro/fast/internal/lsh"
-	"github.com/fastrepro/fast/internal/store"
 	"github.com/fastrepro/fast/internal/tiered"
 )
 
@@ -67,8 +66,7 @@ type readView struct {
 	// tiered/migrate failpoint window, where the seen-set dedup makes the
 	// duplicate benign). All nil when the cold tier is disabled.
 	cold      *tiered.View
-	coldStore *tiered.Store   // spill-counter sink only; never locked by queries
-	coldDisk  store.DiskModel // cost model for cold bucket scans
+	coldStore *tiered.Store // spill-counter sink only; never locked by queries
 }
 
 // publishLocked snapshots the engine's mutable structures into the next
@@ -93,7 +91,6 @@ func (e *Engine) publishLocked() {
 	if e.cold != nil {
 		next.cold = e.cold.View()
 		next.coldStore = e.cold
-		next.coldDisk = e.coldDisk
 	}
 	e.view.Store(next)
 }
@@ -134,8 +131,8 @@ type viewScratch struct {
 var viewScratchPool = sync.Pool{New: func() interface{} { return new(viewScratch) }}
 
 // searchView runs SA+CHS+ranking for a prepared probe summary against the
-// published view — no engine lock, no shared-state writes beyond the
-// striped sim counters — and reports the epoch its answer is valid for.
+// published view — no engine lock, no shared-state writes beyond the access
+// counters — and reports the epoch its answer is valid for.
 func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]SearchResult, uint64, error) {
 	v := e.view.Load()
 	if v == nil {
@@ -177,7 +174,7 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 	// Fetch and score fused, split across workers: each candidate is one
 	// constant-width lock-free table probe plus one word-parallel popcount
 	// pass — independent work, no shared writes except each worker's own
-	// result slots and SimCost scratch.
+	// result slots and one add of its access counts.
 	nw := workers
 	if nw <= 0 {
 		nw = 1
@@ -185,8 +182,8 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 	if nw > len(ids) {
 		nw = len(ids)
 	}
-	var qc SimCost
-	score := func(lo, hi int, qc *SimCost) {
+	score := func(lo, hi int) {
+		var n, bytes int64
 		for i := lo; i < hi; i++ {
 			slot, ok := v.table.Lookup(uint64(ids[i]))
 			if !ok {
@@ -194,21 +191,21 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 				continue
 			}
 			ent := &v.entries[slot]
-			// Charge the summary fetch of every found candidate, scored
-			// or not (the O(1) flat addressing: constant work each).
-			sz := int64(ent.summary.SizeBytes())
-			qc.charge(e.ram.RandomRead(sz), sz)
+			// Count the summary fetch of every found candidate, scored or
+			// not (the O(1) flat addressing: constant work each).
+			n++
+			bytes += int64(ent.summary.SizeBytes())
 			if ent.summary.M != probeSparse.M {
 				results[i] = SearchResult{Score: -1}
 				continue
 			}
 			results[i] = SearchResult{ID: ent.id, Score: bloom.JaccardPacked(probeWords, ent.words)}
 		}
+		e.countAccesses(n, bytes)
 	}
 	if nw <= 1 {
-		score(0, len(ids), &qc)
+		score(0, len(ids))
 	} else {
-		qcs := make([]SimCost, nw)
 		var wg sync.WaitGroup
 		chunk := (len(ids) + nw - 1) / nw
 		for w := 0; w < nw; w++ {
@@ -220,18 +217,12 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 				break
 			}
 			wg.Add(1)
-			go func(w, lo, hi int) {
+			go func(lo, hi int) {
 				defer wg.Done()
-				score(lo, hi, &qcs[w])
-			}(w, lo, hi)
+				score(lo, hi)
+			}(lo, hi)
 		}
 		wg.Wait()
-		for i := range qcs {
-			qc.StorageTime += qcs[i].StorageTime
-			qc.ComputeTime += qcs[i].ComputeTime
-			qc.Accesses += qcs[i].Accesses
-			qc.BytesMoved += qcs[i].BytesMoved
-		}
 	}
 
 	// Spill to the cold tier: scan the same band buckets on disk, skipping
@@ -249,7 +240,7 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 			sc.cwords = make([]uint64, len(probeWords))
 		}
 		results = appendCold(v.cold, v.coldStore, sc.bandKeys, probeWords, 1, v.minScore, nil,
-			sc.seen, results, sc.cwords[:len(probeWords)], v.coldDisk, &qc)
+			sc.seen, results, sc.cwords[:len(probeWords)])
 	}
 
 	// Filter and rank.
@@ -280,6 +271,7 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 		if expandFrom > len(kept) {
 			expandFrom = len(kept)
 		}
+		var mates int64 // admitted hot groupmates, one access each
 		for h := 0; h < expandFrom; h++ {
 			hit := kept[h]
 			// Resolve the representative's summary from whichever tier
@@ -338,7 +330,7 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 				if sim < v.minScore {
 					continue
 				}
-				qc.charge(e.ram.RandomRead(int64(g.summary.SizeBytes())), 0)
+				mates++
 				inResult[id] = true
 				kept = append(kept, SearchResult{ID: id, Score: hit.Score * sim})
 			}
@@ -354,9 +346,10 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 					sc.cwords = make([]uint64, len(probeWords))
 				}
 				kept = appendCold(v.cold, v.coldStore, sc.gkeys, repWords, hit.Score, v.minScore, inResult,
-					sc.gseen, kept, sc.cwords[:len(probeWords)], v.coldDisk, &qc)
+					sc.gseen, kept, sc.cwords[:len(probeWords)])
 			}
 		}
+		e.countAccesses(mates, 0)
 		sortResults(kept)
 	}
 
@@ -369,6 +362,5 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 		sc.results = kept[:0]
 	}
 	putScratch()
-	e.flushSim(qc)
 	return out, v.epoch, nil
 }

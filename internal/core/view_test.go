@@ -32,7 +32,6 @@ func rebuildOracle(t *testing.T, e *Engine) *Engine {
 	defer e.mu.RUnlock()
 	cfg := e.cfg
 	cfg.SummaryCache, cfg.ResultCache = 0, 0
-	cfg.ColdDir, cfg.ColdWatermark = "", 0
 	o := NewEngine(cfg)
 	o.pcasift, o.basisGen = e.pcasift, e.basisGen
 

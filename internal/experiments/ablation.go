@@ -175,7 +175,7 @@ func ablatePStable(e *Env, w interface{ Write([]byte) (int, error) }) error {
 	if err != nil {
 		return err
 	}
-	eng := bp.p.(*core.Engine)
+	eng := bp.p.(fastPipeline).Engine
 
 	// Collect summaries via the engine's public Summarize.
 	summaries := make(map[uint64]*bloom.Filter, len(ds.Photos))

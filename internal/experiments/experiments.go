@@ -14,6 +14,8 @@
 //     per-photo/per-query costs measured on the scaled corpus are combined
 //     with the store package's device models and the cluster package's
 //     queueing simulator at the paper's scale (21M/39M photos, 256 nodes).
+//     The FAST engine only counts its storage accesses; fastPipeline turns
+//     the counts into modeled time, while the baselines model their own.
 //
 // The per-experiment index in DESIGN.md maps each experiment to its
 // modules; EXPERIMENTS.md records a full paper-vs-measured comparison.
@@ -124,7 +126,7 @@ func newPipeline(name string, seed int64) (core.Pipeline, error) {
 		r.Seed = seed
 		return r, nil
 	case "FAST":
-		return core.NewEngine(core.Config{}), nil
+		return fastPipeline{core.NewEngine(core.Config{})}, nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown scheme %q", name)
 	}

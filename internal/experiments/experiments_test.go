@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/fastrepro/fast/internal/store"
 )
 
 // tinyEnv provisions an environment small enough for unit tests:
@@ -166,6 +168,37 @@ func TestProjectBuildScalesWithCorpus(t *testing.T) {
 	// Shanghai's corpus is larger, so the projected times must be larger.
 	if fs <= fw || ss < sw {
 		t.Errorf("projection does not scale with corpus: wuhan (%v,%v) shanghai (%v,%v)", fw, sw, fs, ss)
+	}
+}
+
+// TestFASTSimCostModelsEngineCounts pins the split between engine and
+// harness: the engine counts one access per stored photo, and fastPipeline
+// models the counts as RAM time within a nanosecond per access of charging
+// every store separately (the per-call transfer truncation).
+func TestFASTSimCostModelsEngineCounts(t *testing.T) {
+	e, _ := tinyEnv()
+	bp, err := e.Pipeline("Wuhan", "FAST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := bp.p.(fastPipeline).Engine
+	sc := bp.p.SimCost()
+	if sc.Accesses != int64(eng.Len()) {
+		t.Fatalf("Accesses = %d, want one per photo (%d)", sc.Accesses, eng.Len())
+	}
+	ram := store.RAM()
+	var perStore time.Duration
+	for _, id := range eng.IDs() {
+		s, ok := eng.SummaryOf(id)
+		if !ok {
+			t.Fatalf("SummaryOf(%d) missing", id)
+		}
+		perStore += ram.RandomWrite(int64(s.SizeBytes()))
+	}
+	t.Logf("%d accesses, %d B: modeled %v, per-store %v", sc.Accesses, sc.BytesMoved, sc.StorageTime, perStore)
+	if diff := sc.StorageTime - perStore; diff < 0 || diff > time.Duration(sc.Accesses) {
+		t.Errorf("StorageTime %v vs per-store charges %v: difference %v outside [0, %dns]",
+			sc.StorageTime, perStore, diff, sc.Accesses)
 	}
 }
 

@@ -128,6 +128,21 @@ type measuredQuery struct {
 	realQuery     time.Duration // real end-to-end query latency (FAST)
 }
 
+// fastPipeline is the harness's FAST pipeline. The engine only counts its
+// summary accesses and their bytes; SimCost models them as in-memory storage
+// time with store.RAM(), which is affine per access, so the counts suffice.
+// The experiments never attach a cold tier, so no SSD conversion is needed.
+type fastPipeline struct{ *core.Engine }
+
+// SimCost implements core.Pipeline: the engine's counts plus their modeled
+// RAM time.
+func (p fastPipeline) SimCost() core.SimCost {
+	c := p.Engine.SimCost()
+	ram := store.RAM()
+	c.StorageTime = time.Duration(c.Accesses)*ram.RandomRead(0) + ram.SequentialRead(c.BytesMoved)
+	return c
+}
+
 // simCostDelta subtracts two SimCost snapshots.
 func simCostDelta(after, before core.SimCost) core.SimCost {
 	return core.SimCost{

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // PublishFile writes an immutable file with the same durable sequence the
@@ -15,7 +14,7 @@ import (
 // a fresh name (cold-tier segments are immutable and content-unique) — and
 // no failpoints: callers inject their own sites around or inside write.
 // On any failure the temp file is removed; a crash can still strand one,
-// which SweepTemps (or the caller's own sweep) reclaims.
+// which the caller's own sweep reclaims.
 func PublishFile(path string, write func(w io.Writer) (int64, error)) (int64, error) {
 	dir := filepath.Dir(path)
 	base := filepath.Base(path)
@@ -52,20 +51,4 @@ func PublishFile(path string, write func(w io.Writer) (int64, error)) (int64, er
 		}
 	}
 	return n, nil
-}
-
-// SweepTemps removes temp files abandoned in dir by crashed PublishFile
-// writes, returning the paths removed.
-func SweepTemps(dir string) []string {
-	matches, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*"))
-	var swept []string
-	for _, m := range matches {
-		if !strings.Contains(filepath.Base(m), ".tmp-") {
-			continue
-		}
-		if os.Remove(m) == nil {
-			swept = append(swept, m)
-		}
-	}
-	return swept
 }

@@ -309,12 +309,6 @@ func (s *Segment) parse() error {
 // Entries is the unique-id count of the segment.
 func (s *Segment) Entries() int { return len(s.byID) }
 
-// FileBytes is the on-disk segment size.
-func (s *Segment) FileBytes() int64 { return s.fileBytes }
-
-// Seq is the segment's catalog sequence number.
-func (s *Segment) Seq() uint64 { return s.seq }
-
 // Lookup returns the first record ordinal holding id.
 func (s *Segment) Lookup(id uint64) (int, bool) {
 	rec, ok := s.byID[id]
