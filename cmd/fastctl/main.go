@@ -233,9 +233,9 @@ func runQuery(args []string) {
 	fmt.Printf("\n%d queries over the wire: %d total results; mean %v, p99 %v\n",
 		s.Count, hits, s.Mean.Round(time.Microsecond), s.P99.Round(time.Microsecond))
 	if st, err := c.Stats(ctx); err == nil {
-		fmt.Printf("server cache: summary %d hits / %d misses, results %d hits / %d misses, %d singleflight waits, %d deduped (epoch %d)\n",
+		fmt.Printf("server cache: summary %d hits / %d misses, results %d hits / %d misses, %d singleflight waits (epoch %d)\n",
 			st.SummaryCacheHits, st.SummaryCacheMisses, st.ResultCacheHits, st.ResultCacheMisses,
-			st.CacheSingleflightWaits, st.QueryDeduped, st.CacheEpoch)
+			st.CacheSingleflightWaits, st.CacheEpoch)
 		if st.TieredEnabled {
 			fmt.Printf("server cold tier: %d hot / %d cold entries, %d segments (%d bytes on disk, %d tombstones); queries probed %d cold buckets, scanned %d postings / %d bytes; %d migrations, %d compactions\n",
 				st.TieredHotEntries, st.TieredColdEntries, st.TieredSegments, st.TieredColdBytes,

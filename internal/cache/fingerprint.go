@@ -15,9 +15,7 @@ import (
 // (multiply-xor mixing with distinct odd constants, one lane seeing each
 // word rotated so the lanes never degenerate into each other) and
 // avalanches both with the SplitMix64 finalizer. It is not cryptographic;
-// it is a content address for trusted-process memoization, matching how
-// the serving coalescer already fingerprints probes — but wider, so no
-// equality verification is needed on this path.
+// it is a content address for trusted-process memoization.
 
 // Key is a 128-bit content fingerprint used as a cache key.
 type Key struct {

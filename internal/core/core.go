@@ -183,7 +183,7 @@ type Engine struct {
 
 	// view is the epoch-published immutable read snapshot (see view.go).
 	// Mutators publish the next one under mu with one atomic store;
-	// Query/QueryBatch read it without ever taking mu. basisGen
+	// queries read it without ever taking mu. basisGen
 	// counts PCA retrainings (guarded by mu) and keys the T1 summary cache
 	// so entries computed against a superseded basis can never be reused.
 	view     atomic.Pointer[readView]
@@ -427,6 +427,23 @@ func (e *Engine) Query(img *simimg.Image, topK int) ([]SearchResult, error) {
 		return nil, err
 	}
 	return e.QuerySummary(ps, topK, 1)
+}
+
+// QuerySummary answers a prepared probe summary through the search back
+// half only (SA candidate collection, CHS fetch, ranking), skipping FE+SM
+// entirely, with the given number of candidate-scoring workers (the
+// multicore path of Figure 7). It returns the exact results a full Query
+// of the originating probe would return, at every worker count: Summarize +
+// bloom.ToSparse + QuerySummary ≡ Query. A summary with no set bits answers
+// nil: a featureless probe has nothing to aggregate on.
+func (e *Engine) QuerySummary(ps *bloom.Sparse, topK, workers int) ([]SearchResult, error) {
+	if topK <= 0 {
+		return nil, fmt.Errorf("core: topK must be positive, got %d", topK)
+	}
+	if ps == nil || len(ps.Bits) == 0 {
+		return nil, nil
+	}
+	return e.searchCached(ps, topK, workers)
 }
 
 // sortResults orders by descending score, then ascending ID for stability.

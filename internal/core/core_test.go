@@ -273,6 +273,55 @@ func TestQueryParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestQuerySummaryMatchesQuery is the prepared-path contract: Summarize +
+// ToSparse + QuerySummary must return exactly what sequential Query returns
+// for the same probes at every scoring-worker count — the hoisted front
+// half computes the same summary the full pipeline would, and the back half
+// is shared code.
+func TestQuerySummaryMatchesQuery(t *testing.T) {
+	ds := testDataset(t)
+	e := builtEngine(t, ds)
+	qs, err := ds.Queries(10, 47)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := make([][]SearchResult, len(qs))
+	summaries := make([]*bloom.Sparse, len(qs))
+	for i, q := range qs {
+		if full[i], err = e.Query(q.Probe, 50); err != nil {
+			t.Fatalf("Query %d: %v", i, err)
+		}
+		summaries[i] = probeSparse(t, e, q.Probe)
+	}
+
+	for _, workers := range []int{1, 2, 8} {
+		for i, ps := range summaries {
+			res, err := e.QuerySummary(ps, 50, workers)
+			if err != nil {
+				t.Fatalf("workers=%d summary %d: %v", workers, i, err)
+			}
+			if len(res) != len(full[i]) {
+				t.Fatalf("workers=%d summary %d: %d hits, Query returned %d",
+					workers, i, len(res), len(full[i]))
+			}
+			for j := range res {
+				if res[j] != full[i][j] {
+					t.Fatalf("workers=%d summary %d: result %d = %+v, Query %+v",
+						workers, i, j, res[j], full[i][j])
+				}
+			}
+		}
+	}
+
+	// Edge shapes: nil summary, bad topK.
+	if res, err := e.QuerySummary(nil, 10, 1); err != nil || res != nil {
+		t.Errorf("nil summary: got (%v, %v), want (nil, nil)", res, err)
+	}
+	if _, err := e.QuerySummary(summaries[0], 0, 1); err == nil {
+		t.Error("topK=0 accepted")
+	}
+}
+
 func TestIndexBytesSmallVersusRawFeatures(t *testing.T) {
 	// Table IV's mechanism: the FAST index is a small fraction of the raw
 	// descriptor footprint.

@@ -417,15 +417,8 @@ func readEntriesSection(br byteReader, cfg Config, pca *feature.PCASIFT) (*Engin
 		if err := read(&id, &m, &sk, &nbits); err != nil {
 			return nil, fmt.Errorf("%w: entry %d header: %v", errBadSnapshot, i, err)
 		}
-		// Every stored summary must share the engine's geometry — Jaccard
-		// similarity is undefined across filter sizes, so a mismatched entry
-		// means the writer and this header disagree (i.e. corruption).
-		if m != cfg.Summary.Bits || int(sk) != cfg.Summary.K {
-			return nil, fmt.Errorf("%w: entry %d geometry %d/%d differs from config %d/%d",
-				errBadSnapshot, i, m, sk, cfg.Summary.Bits, cfg.Summary.K)
-		}
-		if nbits < 0 || uint32(nbits) > m {
-			return nil, fmt.Errorf("%w: entry %d has %d bits of %d", errBadSnapshot, i, nbits, m)
+		if nbits < 0 || uint32(nbits) > cfg.Summary.Bits {
+			return nil, fmt.Errorf("%w: entry %d has %d bits of %d", errBadSnapshot, i, nbits, cfg.Summary.Bits)
 		}
 		if _, dup := seen[id]; dup {
 			return nil, fmt.Errorf("%w: entry %d repeats photo id %d", errBadSnapshot, i, id)
@@ -435,7 +428,13 @@ func readEntriesSection(br byteReader, cfg Config, pca *feature.PCASIFT) (*Engin
 		if err != nil {
 			return nil, fmt.Errorf("%w: entry %d bits: %v", errBadSnapshot, i, err)
 		}
-		raw = append(raw, rawEntry{id: id, sp: &bloom.Sparse{M: m, K: int(sk), Bits: bitsData}})
+		// A stored summary must be one the engine could have written: the
+		// configured geometry, positions strictly increasing and below m.
+		sp := &bloom.Sparse{M: m, K: int(sk), Bits: bitsData}
+		if err := checkSummary(sp, cfg.Summary); err != nil {
+			return nil, fmt.Errorf("%w: entry %d %v", errBadSnapshot, i, err)
+		}
+		raw = append(raw, rawEntry{id: id, sp: sp})
 	}
 
 	e := NewEngine(cfg)

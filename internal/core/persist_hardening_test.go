@@ -110,6 +110,11 @@ func TestReadEnginePristineControl(t *testing.T) {
 func TestReadEngineRejectsMutilatedSnapshots(t *testing.T) {
 	snap := containerSnapshot(t)
 	l := layoutOf(t, snap)
+	multi := 0 // first entry with at least two positions
+	for l.entrySizes[multi] < 20+2*4 {
+		multi++
+	}
+	firstPos := l.entryOffs[multi] + 20 // after id, m, k, nbits
 
 	cases := []struct {
 		name   string
@@ -150,6 +155,17 @@ func TestReadEngineRejectsMutilatedSnapshots(t *testing.T) {
 		{"entry nbits exceeds m", "bits of", func(b []byte) []byte {
 			// Claim more set bits than the filter has.
 			put32(b, l.entryOffs[len(l.entryOffs)-1]+16, 1<<26)
+			return b
+		}},
+		{"unsorted positions", "strictly increasing", func(b []byte) []byte {
+			p0 := binary.LittleEndian.Uint32(b[firstPos:])
+			put32(b, firstPos, binary.LittleEndian.Uint32(b[firstPos+4:]))
+			put32(b, firstPos+4, p0)
+			return b
+		}},
+		{"position ≥ m", "≥ m", func(b []byte) []byte {
+			last := l.entryOffs[multi] + l.entrySizes[multi] - 4
+			put32(b, last, binary.LittleEndian.Uint32(b[offSummaryBits:]))
 			return b
 		}},
 		{"duplicate photo id", "repeats photo id", func(b []byte) []byte {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/fastrepro/fast/internal/bloom"
 	"github.com/fastrepro/fast/internal/simimg"
+	"github.com/fastrepro/fast/internal/workload"
 )
 
 // TestConcurrentQueriesAndStats hammers the engine with parallel queries,
@@ -57,20 +58,16 @@ func TestConcurrentQueriesAndStats(t *testing.T) {
 	}
 }
 
-// TestRaceQueryBatchWhileMutating drives QueryBatch against concurrent
-// Insert and Delete traffic plus stats readers — the serving shape after
-// the sharded-query-engine change. Iteration counts shrink under -short so
-// the -race CI job stays fast.
-func TestRaceQueryBatchWhileMutating(t *testing.T) {
+// TestRaceQueryWhileMutating drives concurrent Query readers against
+// Insert and Delete traffic plus stats readers — the serving shape, where
+// every request runs Query on its own goroutine. Iteration counts shrink
+// under -short so the -race CI job stays fast.
+func TestRaceQueryWhileMutating(t *testing.T) {
 	ds := testDataset(t)
 	e := builtEngine(t, ds)
 	qs, err := ds.Queries(6, 91)
 	if err != nil {
 		t.Fatal(err)
-	}
-	imgs := make([]*simimg.Image, len(qs))
-	for i, q := range qs {
-		imgs[i] = q.Probe
 	}
 	rounds, churn := 3, 6
 	if testing.Short() {
@@ -81,22 +78,7 @@ func TestRaceQueryBatchWhileMutating(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 
-	// Two batch-query workers.
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for _, br := range e.QueryBatch(imgs, 25, 3) {
-					if br.Err != nil {
-						errs <- br.Err
-						return
-					}
-					answered.Add(1)
-				}
-			}
-		}()
-	}
+	startQueryReaders(&wg, errs, e, qs, rounds, &answered)
 	// One writer inserting fresh photos and deleting them again.
 	wg.Add(1)
 	go func() {
@@ -130,18 +112,18 @@ func TestRaceQueryBatchWhileMutating(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatalf("concurrent batch/mutate error: %v", err)
+		t.Fatalf("concurrent query/mutate error: %v", err)
 	}
 	if answered.Load() == 0 {
-		t.Error("no batch query answered")
+		t.Error("no query answered")
 	}
 }
 
-// TestRaceInsertBatchWhileQueryBatch runs the staged ingest pipeline
-// against concurrent batch queries and stats readers: the FE+SM worker pool
-// holds no engine lock, so queries must interleave cleanly with the ordered
+// TestRaceInsertBatchWhileQuerying runs the staged ingest pipeline against
+// concurrent Query readers and stats readers: the FE+SM worker pool holds
+// no engine lock, so queries must interleave cleanly with the ordered
 // committer's short write sections. Run with -race.
-func TestRaceInsertBatchWhileQueryBatch(t *testing.T) {
+func TestRaceInsertBatchWhileQuerying(t *testing.T) {
 	ds := testDataset(t)
 	split := len(ds.Photos) * 3 / 4
 	e := NewEngine(Config{TableCapacity: 4 * len(ds.Photos)})
@@ -151,10 +133,6 @@ func TestRaceInsertBatchWhileQueryBatch(t *testing.T) {
 	qs, err := ds.Queries(4, 17)
 	if err != nil {
 		t.Fatal(err)
-	}
-	imgs := make([]*simimg.Image, len(qs))
-	for i, q := range qs {
-		imgs[i] = q.Probe
 	}
 	rounds := 3
 	if testing.Short() {
@@ -183,21 +161,8 @@ func TestRaceInsertBatchWhileQueryBatch(t *testing.T) {
 			}
 		}
 	}()
-	// Two batch-query workers.
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for _, br := range e.QueryBatch(imgs, 25, 2) {
-					if br.Err != nil {
-						errs <- br.Err
-						return
-					}
-				}
-			}
-		}()
-	}
+	var answered atomic.Int64
+	startQueryReaders(&wg, errs, e, qs, rounds, &answered)
 	// One stats reader.
 	wg.Add(1)
 	go func() {
@@ -217,5 +182,28 @@ func TestRaceInsertBatchWhileQueryBatch(t *testing.T) {
 	}
 	if e.Len() != len(ds.Photos)+rounds*4 {
 		t.Errorf("Len = %d, want %d", e.Len(), len(ds.Photos)+rounds*4)
+	}
+	if answered.Load() == 0 {
+		t.Error("no query answered")
+	}
+}
+
+// startQueryReaders launches two goroutines that each run Query over every
+// probe, rounds times, counting answers and reporting the first error.
+func startQueryReaders(wg *sync.WaitGroup, errs chan<- error, e *Engine, qs []workload.Query, rounds int, answered *atomic.Int64) {
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, q := range qs {
+					if _, err := e.Query(q.Probe, 25); err != nil {
+						errs <- err
+						return
+					}
+					answered.Add(1)
+				}
+			}
+		}()
 	}
 }

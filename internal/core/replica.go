@@ -44,6 +44,9 @@ func (e *Engine) InsertSummary(id uint64, s *bloom.Sparse) error {
 	if s == nil {
 		return errors.New("core: nil summary")
 	}
+	if err := checkSummary(s, e.cfg.Summary); err != nil {
+		return fmt.Errorf("core: summary for %d: %w", id, err)
+	}
 	cp := &bloom.Sparse{M: s.M, K: s.K, Bits: append([]uint32(nil), s.Bits...)}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -54,5 +57,26 @@ func (e *Engine) InsertSummary(id uint64, s *bloom.Sparse) error {
 		return fmt.Errorf("core: adopting summary for %d: %w", id, err)
 	}
 	e.publishLocked()
+	return nil
+}
+
+// checkSummary rejects a summary the engine cannot store faithfully: its
+// geometry must be the configured one (an entry of another m is never
+// scored, and the compactor would pack it to the wrong width), and its
+// positions must be strictly increasing and below m (the sparse and packed
+// forms must agree on every bit). InsertSummary and ReadEngine both gate
+// on it.
+func checkSummary(s *bloom.Sparse, sc bloom.SummaryConfig) error {
+	if s.M != sc.Bits || s.K != sc.K {
+		return fmt.Errorf("geometry %d/%d differs from config %d/%d", s.M, s.K, sc.Bits, sc.K)
+	}
+	for i, b := range s.Bits {
+		if b >= s.M {
+			return fmt.Errorf("position %d ≥ m %d", b, s.M)
+		}
+		if i > 0 && b <= s.Bits[i-1] {
+			return fmt.Errorf("positions not strictly increasing at index %d", i)
+		}
+	}
 	return nil
 }

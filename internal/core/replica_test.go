@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"github.com/fastrepro/fast/internal/bloom"
 )
 
 // cloneViaSnapshot round-trips an engine through its serialized form,
@@ -94,5 +97,42 @@ func TestSummaryTransferByteIdentical(t *testing.T) {
 	}
 	if err := recv.InsertSummary(42424242, nil); err == nil {
 		t.Fatal("InsertSummary(nil) should fail")
+	}
+}
+
+// TestInsertSummaryRejectsInvalid breaks one rule of a valid summary per
+// case — geometry, strictly increasing positions, positions below m — and
+// each must be refused by its own check before anything is indexed.
+func TestInsertSummaryRejectsInvalid(t *testing.T) {
+	e := builtEngine(t, testDatasetCached(t))
+	valid, ok := e.SummaryOf(testDatasetCached(t).Photos[0].ID)
+	if !ok || len(valid.Bits) < 2 {
+		t.Fatalf("need a stored summary with ≥ 2 bits, got %v", valid)
+	}
+	const id = 42424243
+	n := e.Len()
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(s *bloom.Sparse)
+	}{
+		{"m differs", "geometry", func(s *bloom.Sparse) { s.M *= 2 }},
+		{"k differs", "geometry", func(s *bloom.Sparse) { s.K++ }},
+		{"unsorted positions", "strictly increasing", func(s *bloom.Sparse) { s.Bits[0], s.Bits[1] = s.Bits[1], s.Bits[0] }},
+		{"repeated position", "strictly increasing", func(s *bloom.Sparse) { s.Bits[1] = s.Bits[0] }},
+		{"position ≥ m", "≥ m", func(s *bloom.Sparse) { s.Bits[len(s.Bits)-1] = s.M }},
+	} {
+		s := &bloom.Sparse{M: valid.M, K: valid.K, Bits: append([]uint32(nil), valid.Bits...)}
+		tc.mutate(s)
+		err := e.InsertSummary(id, s)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: InsertSummary = %v, want the %q check", tc.name, err, tc.want)
+		}
+		if e.Contains(id) || e.Len() != n {
+			t.Fatalf("%s: rejected summary reached the index", tc.name)
+		}
+	}
+	// Control: the unmutated summary under the same id is accepted.
+	if err := e.InsertSummary(id, valid); err != nil {
+		t.Fatalf("valid summary refused: %v", err)
 	}
 }

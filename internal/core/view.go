@@ -27,7 +27,7 @@ import (
 //     with the previous view, while a replaced structure (Build, Compact,
 //     restore) has no previous snapshot and is copied whole. No mutator
 //     tells publishLocked what it changed.
-//   - Query/QueryBatch load the pointer once and run entirely against that
+//   - Queries load the pointer once and run entirely against that
 //     snapshot: no lock acquisition, no write to any shared structure, no
 //     waiting on ingest. A query overlapping a mutation answers from the
 //     pre-mutation state, which is a legal linearization.
@@ -43,8 +43,8 @@ import (
 // The integer cardinalities are identical to the sparse merge, so scores
 // are the summaries' exact Jaccard similarities.
 //
-// searchView is the engine's only search back half: Query, QuerySummary,
-// QueryBatch and QueryUncached all run it. view_test.go checks it against a
+// searchView is the engine's only search back half: Query, QuerySummary
+// and QueryUncached all run it. view_test.go checks it against a
 // rebuild oracle (a fresh all-RAM engine fed the live (id, summary) set)
 // after every kind of mutation and at every worker count.
 

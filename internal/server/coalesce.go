@@ -9,9 +9,9 @@ import (
 // request handlers are gathered into batches of up to maxBatch, waiting at
 // most window after the first arrival, and handed to dispatch on a fresh
 // goroutine — so the collector keeps gathering the next batch while the
-// engine processes the current one. This is how network fan-in (hundreds
-// of single-probe requests) is converted into the wide Engine.QueryBatch /
-// Engine.InsertBatch calls the engine's batch paths were built for.
+// engine processes the current one. This is how network fan-in (many
+// single-photo insert requests) is converted into the wide
+// Engine.InsertBatch calls the engine's batch ingest path was built for.
 //
 // dispatch owns replying to every item it is given; submit-side handlers
 // block on their per-item response channel.
@@ -41,7 +41,7 @@ func newCoalescer[T any](window time.Duration, maxBatch int, dispatch func([]T))
 
 // submit hands one item to the collector. It must not be called after
 // close; the server's drain sequence guarantees that (handlers are drained
-// by http.Server.Shutdown before the coalescers are closed).
+// by http.Server.Shutdown before the coalescer is closed).
 func (c *coalescer[T]) submit(t T) { c.jobs <- t }
 
 // close stops the collector after the in-flight batches complete. Items

@@ -13,10 +13,10 @@ import (
 	"github.com/fastrepro/fast/internal/server"
 )
 
-// TestServeSoak hammers one server from four directions at once — coalesced
-// queries, coalesced inserts followed by deletes, hot snapshots (validated
-// by reloading them), and stats polls — to give the race detector every
-// interleaving the serving layer promises to survive: QueryBatch readers
+// TestServeSoak hammers one server from four directions at once — queries,
+// coalesced inserts followed by deletes, hot snapshots (validated by
+// reloading them), and stats polls — to give the race detector every
+// interleaving the serving layer promises to survive: Query readers
 // against InsertBatch/Delete writers against WriteTo under the engine's
 // read lock. Run it under `go test -race` (the CI race job does).
 func TestServeSoak(t *testing.T) {
@@ -135,8 +135,8 @@ func TestServeSoak(t *testing.T) {
 		t.Fatalf("soak did not exercise all paths: %d queries, %d inserts, %d snapshots",
 			queries.Load(), inserts.Load(), snapshots.Load())
 	}
-	t.Logf("soak: %d queries, %d insert/delete pairs, %d verified hot snapshots (deduped %d)",
-		queries.Load(), inserts.Load(), snapshots.Load(), s.Stats().QueryDeduped)
+	t.Logf("soak: %d queries, %d insert/delete pairs, %d verified hot snapshots (%d insert batches)",
+		queries.Load(), inserts.Load(), snapshots.Load(), s.Stats().InsertBatches)
 }
 
 var errNoResults = &emptyResultsError{}

@@ -5,11 +5,11 @@
 //   - admission control: a slot semaphore plus a bounded waiting line;
 //     work beyond both limits is refused with 429 + Retry-After instead of
 //     being allowed to pile onto the scheduler;
-//   - request coalescing: concurrently arriving queries are micro-batched
-//     (up to BatchMax probes or Window, whichever first) into single
-//     Engine.QueryBatch calls so the sharded batch path — not one goroutine
-//     per request — does the work; inserts coalesce into InsertBatch the
-//     same way;
+//   - insert coalescing: concurrently arriving inserts are micro-batched
+//     (up to BatchMax photos or Window, whichever first) into single
+//     Engine.InsertBatch calls — one lock hold and one view publish per
+//     batch. Queries are not batched: each runs Engine.Query on its own
+//     handler goroutine against the lock-free published view;
 //   - hot snapshots: /v1/snapshot streams the index through Engine.WriteTo
 //     under the engine's read lock, so queries keep flowing while the
 //     snapshot is cut.
@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -40,15 +39,15 @@ import (
 type Config struct {
 	// Engine is the index to serve; required.
 	Engine *core.Engine
-	// Window is the coalescing window: after the first probe of a batch
-	// arrives, the collector waits at most this long for more before
-	// dispatching. 0 disables coalescing — every request runs its own
-	// engine call (the naive shape the serve benchmark compares against).
+	// Window is the insert coalescing window: after the first insert of a
+	// batch arrives, the collector waits at most this long for more before
+	// dispatching. 0 disables coalescing — every insert runs its own engine
+	// call. Queries never wait on it.
 	Window time.Duration
-	// BatchMax caps probes per coalesced batch; 0 means 32.
+	// BatchMax caps photos per coalesced insert batch; 0 means 32.
 	BatchMax int
-	// BatchWorkers is the worker count passed to Engine.QueryBatch /
-	// Engine.InsertBatch per dispatched batch; 0 means GOMAXPROCS.
+	// BatchWorkers is the worker count passed to Engine.InsertBatch per
+	// dispatched batch; 0 means GOMAXPROCS.
 	BatchWorkers int
 	// MaxInflight bounds concurrently executing requests; 0 means
 	// 8*GOMAXPROCS.
@@ -100,15 +99,13 @@ func (c Config) withDefaults() Config {
 type serverMetrics struct {
 	queries      metrics.Counter
 	queryErrors  metrics.Counter
-	queryDeduped metrics.Counter
 	inserts      metrics.Counter
 	insertErrors metrics.Counter
 	deletes      metrics.Counter
 	rejected     metrics.Counter
 	snapshots    metrics.Counter
-	queryBatch   metrics.IntDist // probes per dispatched query batch
-	insertBatch  metrics.IntDist // photos per dispatched insert batch
-	queueWait    *metrics.Histogram
+	insertBatch  metrics.IntDist    // photos per dispatched insert batch
+	queueWait    *metrics.Histogram // insert coalescing delay
 }
 
 // Server wraps an engine with the HTTP serving layer. Construct with New,
@@ -122,7 +119,6 @@ type Server struct {
 	engine   *core.Engine
 
 	adm       *admission
-	queries   *coalescer[queryJob]
 	inserts   *coalescer[insertJob]
 	met       serverMetrics
 	draining  atomic.Bool
@@ -133,18 +129,6 @@ type Server struct {
 	shardCfg ShardConfig
 	ringMu   sync.Mutex
 	ring     *shardRing
-}
-
-type queryJob struct {
-	img       *simimg.Image
-	topK      int
-	submitted time.Time
-	resp      chan queryResp
-}
-
-type queryResp struct {
-	results []core.SearchResult
-	err     error
 }
 
 type insertJob struct {
@@ -175,7 +159,6 @@ func New(cfg Config) (*Server, error) {
 		s.ring = ring
 	}
 	if cfg.Window > 0 {
-		s.queries = newCoalescer(cfg.Window, cfg.BatchMax, s.dispatchQueries)
 		s.inserts = newCoalescer(cfg.Window, cfg.BatchMax, s.dispatchInserts)
 	}
 	return s, nil
@@ -203,14 +186,11 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // Draining reports whether BeginDrain was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close stops the coalescers after their in-flight batches finish. It must
-// only be called once no handler is still submitting — i.e. after
+// Close stops the insert coalescer after its in-flight batches finish. It
+// must only be called once no handler is still submitting — i.e. after
 // http.Server.Shutdown has returned. Close is idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		if s.queries != nil {
-			s.queries.close()
-		}
 		if s.inserts != nil {
 			s.inserts.close()
 		}
@@ -332,13 +312,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// reverse order would over-claim: a write could land between the query
 	// and the sample.)
 	epoch := s.Engine().PublishedEpoch()
+	// Failpoint: Delay is a slow engine holding this request's admission
+	// slot, Error fails the query, Panic unwinds into net/http's
+	// per-request recover.
 	var results []core.SearchResult
-	if s.queries != nil {
-		job := queryJob{img: img, topK: topK, submitted: time.Now(), resp: make(chan queryResp, 1)}
-		s.queries.submit(job)
-		resp := <-job.resp
-		results, err = resp.results, resp.err
-	} else {
+	if err = failpoint.Eval(failpoint.ServerDispatchQuery); err == nil {
 		results, err = s.Engine().Query(img, topK)
 	}
 	if err != nil {
@@ -500,15 +478,11 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Queries:           s.met.queries.Load(),
 		QueryErrors:       s.met.queryErrors.Load(),
-		QueryDeduped:      s.met.queryDeduped.Load(),
 		Inserts:           s.met.inserts.Load(),
 		InsertErrors:      s.met.insertErrors.Load(),
 		Deletes:           s.met.deletes.Load(),
 		AdmissionRejected: s.met.rejected.Load(),
 		Snapshots:         s.met.snapshots.Load(),
-		QueryBatches:      s.met.queryBatch.Count(),
-		QueryBatchMean:    s.met.queryBatch.Mean(),
-		QueryBatchMax:     s.met.queryBatch.Max(),
 		InsertBatches:     s.met.insertBatch.Count(),
 		InsertBatchMean:   s.met.insertBatch.Mean(),
 		InsertBatchMax:    s.met.insertBatch.Max(),
@@ -563,138 +537,17 @@ func (s *Server) Stats() Stats {
 
 // --- coalesced dispatch ---
 
-// dispatchQueries answers one micro-batch through Engine.QueryBatch, after
-// collapsing duplicate probes: concurrent requests for the same image (hot
-// queries are the norm under real fan-in) share one engine call, the same
-// way a CDN collapses identical in-flight fetches. The per-job topK may
-// differ across the batch: the engine runs at the batch maximum and each
-// job's reply is trimmed to its own budget, which is exact because a
-// query's result list at a smaller topK is a prefix of the same query's
-// list at a larger one (ranking happens before truncation). Collapsed
-// duplicates therefore receive byte-identical answers to what a private
-// engine call would have produced.
-func (s *Server) dispatchQueries(batch []queryJob) {
-	// A panic in the engine (or in this dispatch logic) runs on the
-	// coalescer's goroutine, outside net/http's per-connection recover —
-	// unguarded it would crash the daemon. Convert it into an error reply
-	// to every job of this batch; the non-blocking sends skip jobs already
-	// answered before the panic.
-	defer func() {
-		if p := recover(); p != nil {
-			err := fmt.Errorf("server: query batch panicked: %v", p)
-			for _, j := range batch {
-				select {
-				case j.resp <- queryResp{err: err}:
-				default:
-				}
-			}
-		}
-	}()
-	// Failpoint: Delay simulates a slow engine under the coalescer, Error
-	// fails the whole batch, Panic exercises the containment above.
-	if err := failpoint.Eval(failpoint.ServerDispatchQuery); err != nil {
-		err = fmt.Errorf("server: query dispatch failed: %w", err)
-		for _, j := range batch {
-			select {
-			case j.resp <- queryResp{err: err}:
-			default:
-			}
-		}
-		return
-	}
-	now := time.Now()
-	maxK := 0
-	for _, j := range batch {
-		if j.topK > maxK {
-			maxK = j.topK
-		}
-		s.met.queueWait.Record(now.Sub(j.submitted))
-	}
-	s.met.queryBatch.Record(int64(len(batch)))
-
-	// Group jobs by probe content. Hash buckets are verified pixel-for-pixel
-	// so a collision can never splice two distinct probes together.
-	type group struct {
-		img  *simimg.Image
-		jobs []int
-	}
-	groups := make([]group, 0, len(batch))
-	byHash := make(map[uint64][]int, len(batch))
-groupJobs:
-	for i, j := range batch {
-		h := hashImage(j.img)
-		for _, gi := range byHash[h] {
-			if sameImage(groups[gi].img, j.img) {
-				groups[gi].jobs = append(groups[gi].jobs, i)
-				continue groupJobs
-			}
-		}
-		byHash[h] = append(byHash[h], len(groups))
-		groups = append(groups, group{img: j.img, jobs: []int{i}})
-	}
-	if d := len(batch) - len(groups); d > 0 {
-		s.met.queryDeduped.Add(int64(d))
-	}
-
-	imgs := make([]*simimg.Image, len(groups))
-	for gi, g := range groups {
-		imgs[gi] = g.img
-	}
-	brs := s.Engine().QueryBatch(imgs, maxK, s.cfg.BatchWorkers)
-	for gi, g := range groups {
-		for _, i := range g.jobs {
-			j := batch[i]
-			res, err := brs[gi].Results, brs[gi].Err
-			if err == nil && len(res) > j.topK {
-				res = res[:j.topK]
-			}
-			j.resp <- queryResp{results: res, err: err}
-		}
-	}
-}
-
-// hashImage fingerprints a probe's dimensions and exact pixel bits (FNV-1a).
-func hashImage(im *simimg.Image) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
-	mix(uint64(im.W))
-	mix(uint64(im.H))
-	for _, p := range im.Pix {
-		mix(math.Float64bits(p))
-	}
-	return h
-}
-
-// sameImage reports exact equality of two rasters.
-func sameImage(a, b *simimg.Image) bool {
-	if a.W != b.W || a.H != b.H || len(a.Pix) != len(b.Pix) {
-		return false
-	}
-	for i := range a.Pix {
-		if math.Float64bits(a.Pix[i]) != math.Float64bits(b.Pix[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // dispatchInserts commits one micro-batch through Engine.InsertBatch.
 // InsertBatch stops at the first failing photo; the loop reports that
 // failure to its requester and resumes with the remainder, so one bad
 // insert (e.g. a duplicate ID) does not poison the requests coalesced
 // behind it.
 func (s *Server) dispatchInserts(batch []insertJob) {
-	// Same panic containment as dispatchQueries: fail the batch, not the
-	// process.
+	// A panic in the engine (or in this dispatch logic) runs on the
+	// coalescer's goroutine, outside net/http's per-request recover —
+	// unguarded it would crash the daemon. Convert it into an error reply to
+	// every job of this batch; the non-blocking sends skip jobs already
+	// answered before the panic.
 	defer func() {
 		if p := recover(); p != nil {
 			err := fmt.Errorf("server: insert batch panicked: %v", p)

@@ -16,6 +16,7 @@ import (
 	"github.com/fastrepro/fast/internal/chunk"
 	"github.com/fastrepro/fast/internal/client"
 	"github.com/fastrepro/fast/internal/core"
+	"github.com/fastrepro/fast/internal/failpoint"
 	"github.com/fastrepro/fast/internal/server"
 	"github.com/fastrepro/fast/internal/store"
 	"github.com/fastrepro/fast/internal/workload"
@@ -76,17 +77,14 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Ser
 	return s, hs, c
 }
 
-// TestQueryIdentityCoalesced is the acceptance check for the coalescing
-// path: many concurrent network queries, answered through micro-batched
-// Engine.QueryBatch calls with mixed topK budgets, must be byte-identical
-// to sequential Engine.Query answers.
-func TestQueryIdentityCoalesced(t *testing.T) {
+// TestQueryIdentityOverWire fires 32 concurrent network queries with mixed
+// topK budgets at a server whose insert coalescing window is a full second:
+// every answer must be byte-identical to a direct Engine.Query call, and no
+// query may wait on the window — queries run straight on their handler
+// goroutines, so with no inserts the coalescer records nothing at all.
+func TestQueryIdentityOverWire(t *testing.T) {
 	eng, ds := baseEngine(t)
-	s, _, c := startServer(t, server.Config{
-		Engine:   eng,
-		Window:   10 * time.Millisecond,
-		BatchMax: 16,
-	})
+	s, _, c := startServer(t, server.Config{Engine: eng, Window: time.Second})
 
 	qs, err := ds.Queries(8, 33)
 	if err != nil {
@@ -140,14 +138,10 @@ func TestQueryIdentityCoalesced(t *testing.T) {
 	if st.Queries != rounds*int64(len(qs)) {
 		t.Errorf("stats queries = %d, want %d", st.Queries, rounds*len(qs))
 	}
-	if st.QueryBatches == 0 {
-		t.Error("no coalesced batches dispatched")
+	if st.QueueWaitMeanNs != 0 || st.InsertBatches != 0 {
+		t.Errorf("queries waited on the coalescer: queue wait mean %v, %d insert batches",
+			time.Duration(st.QueueWaitMeanNs), st.InsertBatches)
 	}
-	if st.QueryBatchMax < 2 {
-		t.Errorf("max batch = %d; coalescing never gathered concurrent queries", st.QueryBatchMax)
-	}
-	t.Logf("batches=%d mean=%.1f max=%d queueWaitMean=%v",
-		st.QueryBatches, st.QueryBatchMean, st.QueryBatchMax, time.Duration(st.QueueWaitMeanNs))
 }
 
 func TestInsertDeleteOverWire(t *testing.T) {
@@ -360,17 +354,12 @@ func TestTieredStatsAndRestoreAdoption(t *testing.T) {
 // with 429 + Retry-After rather than queued without bound.
 func TestAdmissionBackpressure(t *testing.T) {
 	eng, ds := baseEngine(t)
-	// The long window makes the first admitted query hold its slot inside
-	// the coalescer until the timer fires, so the rest of the flood
-	// deterministically piles up on the admission controller: one waits,
-	// the overflow is refused.
-	_, hs, _ := startServer(t, server.Config{
-		Engine:      eng,
-		Window:      300 * time.Millisecond,
-		BatchMax:    64,
-		MaxInflight: 1,
-		MaxQueue:    1,
-	})
+	// A slow engine: every admitted query holds its slot for 300 ms, so the
+	// rest of the flood deterministically piles up on the admission
+	// controller: one waits, the overflow is refused.
+	failpoint.Enable(failpoint.ServerDispatchQuery, failpoint.Policy{Action: failpoint.Delay, Delay: 300 * time.Millisecond})
+	t.Cleanup(func() { failpoint.Disable(failpoint.ServerDispatchQuery) })
+	_, hs, _ := startServer(t, server.Config{Engine: eng, MaxInflight: 1, MaxQueue: 1})
 
 	qs, err := ds.Queries(1, 7)
 	if err != nil {
@@ -423,6 +412,48 @@ func TestAdmissionBackpressure(t *testing.T) {
 	}
 	if counts[-1] > 0 || len(counts) > 2 {
 		t.Errorf("unexpected outcomes: %v", counts)
+	}
+}
+
+// TestQueryFailpointErrorAndPanic arms the query site between admission
+// and Engine.Query: Error must answer 422 "query failed" and count a query
+// error, and Panic must cost only its own request — net/http recovers it,
+// the admission slot is handed back, and the next query is answered.
+func TestQueryFailpointErrorAndPanic(t *testing.T) {
+	eng, ds := baseEngine(t)
+	s, hs, c := startServer(t, server.Config{Engine: eng, MaxInflight: 1, MaxQueue: 1})
+	t.Cleanup(func() { failpoint.Disable(failpoint.ServerDispatchQuery) })
+	wi, err := server.EncodeImage(ds.Photos[0].Img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(server.QueryRequest{Image: wi, TopK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	failpoint.Enable(failpoint.ServerDispatchQuery, failpoint.Policy{Action: failpoint.Error})
+	resp, err := hs.Client().Post(hs.URL+"/v1/query", "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er server.ErrorResponse
+	_ = json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains([]byte(er.Error), []byte("query failed")) {
+		t.Fatalf("injected error: status %d %q, want 422 query failed", resp.StatusCode, er.Error)
+	}
+	if st := s.Stats(); st.QueryErrors != 1 || st.Queries != 0 {
+		t.Fatalf("query errors/queries = %d/%d, want 1/0", st.QueryErrors, st.Queries)
+	}
+
+	failpoint.Enable(failpoint.ServerDispatchQuery, failpoint.Policy{Action: failpoint.Panic, Times: 1})
+	if resp, err := hs.Client().Post(hs.URL+"/v1/query", "application/json", bytes.NewReader(payload)); err == nil {
+		resp.Body.Close()
+		t.Fatalf("panicking query answered with status %d", resp.StatusCode)
+	}
+	if _, err := c.Query(context.Background(), ds.Photos[0].Img, 5); err != nil {
+		t.Fatalf("query after a recovered panic (slot leaked?): %v", err)
 	}
 }
 
@@ -661,9 +692,6 @@ func TestStatsDocument(t *testing.T) {
 	if st.Photos != eng.Len() || st.IndexBytes <= 0 {
 		t.Errorf("photos/index_bytes = %d/%d", st.Photos, st.IndexBytes)
 	}
-	if st.QueryBatches == 0 || st.QueryBatchMean < 1 {
-		t.Errorf("batch stats missing: %+v", st)
-	}
 	if st.UptimeNs <= 0 {
 		t.Error("uptime missing")
 	}
@@ -682,7 +710,7 @@ func TestStatsDocument(t *testing.T) {
 	}
 	resp.Body.Close()
 	for _, field := range []string{
-		"queries", "admission_rejected", "query_batches", "query_batch_mean",
+		"queries", "admission_rejected", "insert_batches", "insert_batch_mean",
 		"queue_wait_mean_ns", "photos", "index_bytes", "draining", "uptime_ns",
 	} {
 		if _, ok := raw[field]; !ok {
