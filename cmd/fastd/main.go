@@ -1,7 +1,8 @@
 // Command fastd serves a FAST index over HTTP: the /v1 JSON API of
 // internal/server (query, insert, delete, snapshot, restore, stats) with
-// admission control in front of the engine and insert coalescing into its
-// batch ingest path. Queries go straight to the engine.
+// admission control in front of the engine. Every query and insert runs
+// its own engine call on its handler goroutine; nothing waits on a
+// batching window.
 //
 // The index is bootstrapped either from a snapshot written by a previous
 // run (or by fastctl snapshot):
@@ -68,9 +69,6 @@ func main() {
 		photos      = flag.Int("photos", 300, "synthetic bootstrap corpus size (ignored with -snapshot)")
 		scenes      = flag.Int("scenes", 10, "synthetic bootstrap scene count (ignored with -snapshot)")
 		seed        = flag.Int64("seed", 1, "synthetic bootstrap generator seed")
-		window      = flag.Duration("window", 2*time.Millisecond, "insert-coalescing window (0 disables)")
-		batchMax    = flag.Int("batch-max", 32, "max photos per coalesced insert batch")
-		workers     = flag.Int("workers", 0, "engine workers per coalesced insert batch (0 = GOMAXPROCS)")
 		maxInflight = flag.Int("max-inflight", 0, "admission: concurrent request limit (0 = 8*GOMAXPROCS)")
 		maxQueue    = flag.Int("max-queue", 0, "admission: waiting-line limit before 429 (0 = 4*max-inflight)")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
@@ -183,15 +181,12 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		Engine:       eng,
-		Window:       *window,
-		BatchMax:     *batchMax,
-		BatchWorkers: *workers,
-		MaxInflight:  *maxInflight,
-		MaxQueue:     *maxQueue,
-		Recovery:     recovery,
-		Snapshots:    snaps,
-		Shard:        shardCfg,
+		Engine:      eng,
+		MaxInflight: *maxInflight,
+		MaxQueue:    *maxQueue,
+		Recovery:    recovery,
+		Snapshots:   snaps,
+		Shard:       shardCfg,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -207,13 +202,13 @@ func main() {
 			log.Fatalf("serve: %v", err)
 		}
 	}()
-	log.Printf("serving %d photos on %s (insert window %v, batch-max %d, caches %d/%d)",
-		eng.Len(), ln.Addr(), *window, *batchMax, *sumCache, *resCache)
+	log.Printf("serving %d photos on %s (caches %d/%d)",
+		eng.Len(), ln.Addr(), *sumCache, *resCache)
 
 	// Wait for a shutdown signal, then drain: refuse new work, let
-	// http.Server.Shutdown wait out the in-flight handlers, stop the
-	// insert coalescer, and only then cut the final snapshot — so it contains
-	// every insert the server acknowledged.
+	// http.Server.Shutdown wait out the in-flight handlers, and only then
+	// cut the final snapshot. A handler acknowledges only after its engine
+	// call returned, so the snapshot contains every acknowledged insert.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	got := <-sig
@@ -223,16 +218,10 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
-		// Drain timeout: handlers are still running, so server.Close's
-		// precondition (no handler still submitting to the coalescer) does
-		// not hold — closing the job channel under them would panic a
-		// straggler on send. Force-close the connections and leave the
-		// coalescer alone; the process is about to exit, and anything not
-		// yet acknowledged is by definition not owed to a client.
+		// Drain timeout: force-close the connections. Anything not yet
+		// acknowledged is by definition not owed to a client.
 		log.Printf("shutdown: %v (forcing close)", err)
 		httpSrv.Close()
-	} else {
-		srv.Close()
 	}
 
 	if snaps != nil {

@@ -37,7 +37,7 @@ func main() {
 	// 1. Build (in parallel) and snapshot to disk.
 	engine := core.NewEngine(core.Config{})
 	t0 := time.Now()
-	if _, err := engine.BuildParallel(ds.Photos, 0); err != nil {
+	if _, err := engine.Build(ds.Photos); err != nil {
 		log.Fatalf("building: %v", err)
 	}
 	buildTime := time.Since(t0)

@@ -113,8 +113,8 @@ func TestEngineLifecycle(t *testing.T) {
 		t.Skip("integration test")
 	}
 	ds, qs := benchData(t)
-	e := core.NewEngine(core.Config{})
-	if _, err := e.BuildParallel(ds.Photos, 2); err != nil {
+	e := core.NewEngine(core.Config{IngestWorkers: 2})
+	if _, err := e.Build(ds.Photos); err != nil {
 		t.Fatal(err)
 	}
 

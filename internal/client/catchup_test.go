@@ -47,7 +47,6 @@ func newSnapshotServer(t *testing.T) (*httptest.Server, *core.Engine, *workload.
 	t.Cleanup(func() {
 		hs.Close()
 		srv.BeginDrain()
-		srv.Close()
 	})
 	return hs, eng, ds
 }

@@ -133,7 +133,6 @@ func newFaultServer(t *testing.T) (*httptest.Server, uint64) {
 	t.Cleanup(func() {
 		hs.Close()
 		srv.BeginDrain()
-		srv.Close()
 	})
 	return hs, ds.Photos[0].ID
 }

@@ -231,10 +231,51 @@ func (e *Engine) Name() string { return "FAST" }
 
 // Build trains the PCA basis on a sample of the corpus and indexes every
 // photo through the staged ingest pipeline at the configured worker count
-// (Config.IngestWorkers; GOMAXPROCS by default). Index contents are
-// identical at every worker count. It implements Pipeline.
+// for the FE+SM stage (Config.IngestWorkers; GOMAXPROCS by default, 1 is
+// fully sequential). The ordered committer keeps index contents and
+// BuildStats counters identical at every worker count; FeatureTime and
+// SummaryTime sum the per-photo stage costs across workers (CPU work, not
+// wall time). It implements Pipeline.
 func (e *Engine) Build(photos []*simimg.Photo) (BuildStats, error) {
-	return e.BuildParallel(photos, e.cfg.IngestWorkers)
+	var st BuildStats
+	if len(photos) == 0 {
+		return st, errors.New("core: empty corpus")
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+
+	if err := e.trainLocked(photos); err != nil {
+		return st, err
+	}
+	if err := e.allocLocked(len(photos)); err != nil {
+		return st, err
+	}
+	// The retrained basis invalidates every memoized summary (T1 entries are
+	// pure functions of pixels only under a fixed basis), and the fresh index
+	// invalidates every cached result; drop both tiers and advance the epoch.
+	e.resetCaches()
+
+	pca := e.pcasift
+	err := runIngest(photos, e.cfg.IngestWorkers,
+		func(img *simimg.Image) (prepared, error) { return e.prepareRecovering(pca, img) },
+		func(i int, pr prepared) error {
+			t0 := time.Now()
+			if err := e.storeLocked(photos[i].ID, pr.sparse); err != nil {
+				return fmt.Errorf("core: indexing photo %d: %w", photos[i].ID, err)
+			}
+			st.IndexTime += time.Since(t0)
+			st.Photos++
+			st.Descriptors += pr.descs
+			st.FeatureTime += pr.featureTime
+			st.SummaryTime += pr.summaryTime
+			return nil
+		})
+	// Publish once: queries answer from the previous view for the whole
+	// build and switch to the complete new index in one step (on error the
+	// partially built state is published, so the view matches the live
+	// structures a failed Build leaves behind).
+	e.publishLocked()
+	return st, err
 }
 
 // Insert adds one photo to a built index. It implements Pipeline.
@@ -278,7 +319,7 @@ type prepared struct {
 
 // prepareSummary runs FE+SM for one image against the given trained basis.
 // It is the single implementation of the pipeline's read-only front half —
-// Insert, Build, BuildParallel and InsertBatch all go through it. It reads
+// Insert, Build and InsertBatch all go through it. It reads
 // no mutable engine state, so callers may run it without holding the engine
 // lock, from any number of goroutines.
 func (e *Engine) prepareSummary(pca *feature.PCASIFT, img *simimg.Image) (prepared, error) {

@@ -131,53 +131,6 @@ func runIngest(photos []*simimg.Photo, workers int,
 	return firstErr
 }
 
-// BuildParallel builds the index like Build but with an explicit worker
-// count for the FE+SM stage (0 means GOMAXPROCS, 1 is fully sequential).
-// The ordered committer keeps index contents and BuildStats counters
-// identical to the sequential path; FeatureTime and SummaryTime sum the
-// per-photo stage costs across workers (CPU work, not wall time).
-func (e *Engine) BuildParallel(photos []*simimg.Photo, workers int) (BuildStats, error) {
-	var st BuildStats
-	if len(photos) == 0 {
-		return st, errors.New("core: empty corpus")
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
-	if err := e.trainLocked(photos); err != nil {
-		return st, err
-	}
-	if err := e.allocLocked(len(photos)); err != nil {
-		return st, err
-	}
-	// The retrained basis invalidates every memoized summary (T1 entries are
-	// pure functions of pixels only under a fixed basis), and the fresh index
-	// invalidates every cached result; drop both tiers and advance the epoch.
-	e.resetCaches()
-
-	pca := e.pcasift
-	err := runIngest(photos, workers,
-		func(img *simimg.Image) (prepared, error) { return e.prepareRecovering(pca, img) },
-		func(i int, pr prepared) error {
-			t0 := time.Now()
-			if err := e.storeLocked(photos[i].ID, pr.sparse); err != nil {
-				return fmt.Errorf("core: indexing photo %d: %w", photos[i].ID, err)
-			}
-			st.IndexTime += time.Since(t0)
-			st.Photos++
-			st.Descriptors += pr.descs
-			st.FeatureTime += pr.featureTime
-			st.SummaryTime += pr.summaryTime
-			return nil
-		})
-	// Publish once: queries answer from the previous view for the whole
-	// build and switch to the complete new index in one step (on error the
-	// partially built state is published, so the view matches the live
-	// structures a failed Build leaves behind).
-	e.publishLocked()
-	return st, err
-}
-
 // InsertBatch adds many photos to a built index through the staged ingest
 // pipeline: FE+SM runs across workers (0 means GOMAXPROCS) with no engine
 // lock held, and the ordered committer stores each summary under a short

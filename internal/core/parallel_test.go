@@ -60,8 +60,8 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			par := NewEngine(Config{})
-			st, err := par.BuildParallel(ds.Photos, workers)
+			par := NewEngine(Config{IngestWorkers: workers})
+			st, err := par.Build(ds.Photos)
 			if err != nil {
 				t.Fatalf("parallel build: %v", err)
 			}
@@ -167,13 +167,13 @@ func TestInsertBatchValidation(t *testing.T) {
 }
 
 func TestBuildParallelValidation(t *testing.T) {
-	e := NewEngine(Config{})
-	if _, err := e.BuildParallel(nil, 4); err == nil {
+	if _, err := NewEngine(Config{IngestWorkers: 4}).Build(nil); err == nil {
 		t.Error("empty corpus should fail")
 	}
 	ds := testDatasetCached(t)
 	// workers <= 0 defaults to GOMAXPROCS and still works.
-	if _, err := e.BuildParallel(ds.Photos[:20], 0); err != nil {
+	e := NewEngine(Config{})
+	if _, err := e.Build(ds.Photos[:20]); err != nil {
 		t.Fatalf("workers=0: %v", err)
 	}
 	if e.Len() != 20 {
@@ -183,9 +183,9 @@ func TestBuildParallelValidation(t *testing.T) {
 
 func TestBuildParallelRejectsDuplicatePhotos(t *testing.T) {
 	ds := testDatasetCached(t)
-	e := NewEngine(Config{})
+	e := NewEngine(Config{IngestWorkers: 2})
 	photos := append(ds.Photos[:5:5], ds.Photos[4]) // duplicate ID
-	if _, err := e.BuildParallel(photos, 2); err == nil {
+	if _, err := e.Build(photos); err == nil {
 		t.Error("duplicate photo IDs should fail the build")
 	}
 }

@@ -55,13 +55,11 @@ const (
 	RouterFanout = "router/fanout"
 	RouterMerge  = "router/merge"
 
-	// Serving layer (internal/server). dispatch-query fires in the query
-	// handler after admission, just before Engine.Query: Delay is a slow
-	// engine holding its admission slot, Error answers 422, Panic is
-	// recovered by net/http. dispatch-insert fires at the top of the
-	// coalesced insert dispatcher: Delay simulates a slow engine, Error
-	// fails the whole batch, Panic exercises the dispatcher's panic
-	// containment. The inject sites fire in the request gate and
+	// Serving layer (internal/server). dispatch-query and dispatch-insert
+	// fire in the query and insert handlers after admission, just before
+	// Engine.Query / Engine.Insert: Delay is a slow engine holding its
+	// admission slot, Error answers 422, Panic is recovered by net/http
+	// with the slot released. The inject sites fire in the request gate and
 	// synthesize admission-control backpressure (429 with Retry-After,
 	// 503) without needing real overload — the client retry tests drive
 	// bursts through them.

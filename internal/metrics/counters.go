@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing event counter safe for concurrent
 // use. The zero value is ready; serving-layer code embeds Counters for
@@ -20,67 +17,3 @@ func (c *Counter) Add(delta int64) { c.n.Add(delta) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.n.Load() }
-
-// IntDist accumulates a distribution of integer samples — batch sizes,
-// queue depths — keeping count, sum, min and max. It is safe for concurrent
-// use; the zero value is ready. Samples arrive at batch granularity (one
-// Record per dispatched batch), so a mutex is cheap enough.
-type IntDist struct {
-	mu    sync.Mutex
-	count int64
-	sum   int64
-	min   int64
-	max   int64
-}
-
-// Record adds one sample.
-func (d *IntDist) Record(v int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.count++
-	d.sum += v
-	if d.count == 1 || v < d.min {
-		d.min = v
-	}
-	if v > d.max {
-		d.max = v
-	}
-}
-
-// Count returns the number of samples.
-func (d *IntDist) Count() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.count
-}
-
-// Sum returns the sample sum.
-func (d *IntDist) Sum() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sum
-}
-
-// Mean returns the average sample, or 0 when empty.
-func (d *IntDist) Mean() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.count == 0 {
-		return 0
-	}
-	return float64(d.sum) / float64(d.count)
-}
-
-// Min returns the smallest sample, or 0 when empty.
-func (d *IntDist) Min() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.min
-}
-
-// Max returns the largest sample, or 0 when empty.
-func (d *IntDist) Max() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.max
-}

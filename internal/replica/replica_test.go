@@ -17,6 +17,7 @@ import (
 	"github.com/fastrepro/fast/internal/placement"
 	"github.com/fastrepro/fast/internal/router"
 	"github.com/fastrepro/fast/internal/server"
+	"github.com/fastrepro/fast/internal/simimg"
 	"github.com/fastrepro/fast/internal/workload"
 )
 
@@ -418,6 +419,80 @@ func TestRingUpdateAbort(t *testing.T) {
 		t.Fatalf("update after abort: %v", err)
 	}
 	c.checkIdentity(t, "after post-abort update", 3)
+}
+
+// TestRoutedDeleteInRingTransitionWindow deletes a photo in the window
+// after the shards committed a new ring and before the router did. The
+// current ring's primary has already shed the photo at its commit, while
+// the pending ring's owners still hold it: the router must move the
+// synchronous leg on to them instead of answering "not indexed" and
+// leaving the photo searchable.
+func TestRoutedDeleteInRingTransitionWindow(t *testing.T) {
+	c := newReplicaCluster(t, 3, router.ReadRoundRobin)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	next := c.nextRing(2, 777)
+	if err := c.rt.RingPrepare(next, clusterRF); err != nil {
+		t.Fatalf("router prepare: %v", err)
+	}
+	if _, err := RingUpdate(ctx, RingUpdateOptions{
+		Shards: c.shardClients, Ring: next, Replicas: clusterRF, PollInterval: 10 * time.Millisecond,
+	}); err != nil {
+		t.Fatalf("shard ring update: %v", err)
+	}
+
+	cur, err := placement.New(c.ringCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending, err := placement.New(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim *simimg.Photo
+	for _, p := range c.ds.Photos {
+		if !pending.OwnedBy(p.ID, clusterRF, cur.Owners(p.ID, clusterRF)[0]) {
+			victim = p
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("no photo whose current primary loses it under the pending ring")
+	}
+	if err := c.routerClient.Delete(ctx, victim.ID); err != nil {
+		t.Fatalf("delete %d in the transition window: %v", victim.ID, err)
+	}
+	if err := c.union.Delete(victim.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := c.rt.QuiesceReplicas(ctx); err != nil {
+		t.Fatalf("quiesce: %v", err)
+	}
+	if err := c.rt.RingCommit(next.Epoch); err != nil {
+		t.Fatalf("router commit: %v", err)
+	}
+	copies := 0
+	for _, sc := range c.shardClients {
+		st, err := sc.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copies += st.Photos
+	}
+	if want := clusterRF * c.union.Len(); copies != want {
+		t.Fatalf("cluster holds %d copies after the delete, want %d", copies, want)
+	}
+	got, err := c.routerClient.Query(ctx, victim.Img, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range got {
+		if r.ID == victim.ID {
+			t.Fatalf("deleted photo %d is still searchable", victim.ID)
+		}
+	}
+	c.checkIdentity(t, "after the transition-window delete", 4)
 }
 
 // TestReplicationChurnSoak is the -race soak: continuous queries under

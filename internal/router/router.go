@@ -649,24 +649,35 @@ func (rt *Router) Insert(ctx context.Context, id uint64, img *simimg.Image) erro
 	return nil
 }
 
-// Delete routes the deletion to the photo's owning replica set, primary
-// synchronously and the other owners async, like Insert.
+// Delete routes the deletion to the photo's owning replica set, one owner
+// synchronously and the owners after it async, like Insert. A "not
+// indexed" reply moves the synchronous leg to the next owner in
+// writeOwners order: between the shards' ring commit and the router's,
+// the current ring's primary may already have shed the photo while the
+// pending ring's owners still hold it. The delete fails only if every
+// owner says "not indexed"; any other error fails it at once.
 func (rt *Router) Delete(ctx context.Context, id uint64) error {
 	owners := rt.writeOwners(id)
-	primary := owners[0]
 	sctx, cancel := context.WithTimeout(ctx, rt.cfg.ShardTimeout)
 	defer cancel()
-	epoch, err := rt.cfg.Shards[primary].Delete(sctx, id)
-	if err != nil {
-		rt.met.deleteErrors.Inc()
-		return fmt.Errorf("router: shard %d (owner of %d): %w", primary, id, err)
+	var err error
+	for i, s := range owners {
+		var epoch uint64
+		if epoch, err = rt.cfg.Shards[s].Delete(sctx, id); err == nil {
+			rt.noteAck(s, epoch)
+			rt.met.deletes.Inc()
+			for _, o := range owners[i+1:] {
+				rt.enqueueApply(o, applyOp{del: true, id: id})
+			}
+			return nil
+		}
+		err = fmt.Errorf("router: shard %d (owner of %d): %w", s, id, err)
+		if !strings.Contains(err.Error(), "not indexed") {
+			break
+		}
 	}
-	rt.noteAck(primary, epoch)
-	rt.met.deletes.Inc()
-	for _, s := range owners[1:] {
-		rt.enqueueApply(s, applyOp{del: true, id: id})
-	}
-	return nil
+	rt.met.deleteErrors.Inc()
+	return err
 }
 
 // enqueueApply hands an async replica mutation to shard s's apply worker.

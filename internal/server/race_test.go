@@ -14,18 +14,14 @@ import (
 )
 
 // TestServeSoak hammers one server from four directions at once — queries,
-// coalesced inserts followed by deletes, hot snapshots (validated by
+// inserts followed by deletes, hot snapshots (validated by
 // reloading them), and stats polls — to give the race detector every
 // interleaving the serving layer promises to survive: Query readers
-// against InsertBatch/Delete writers against WriteTo under the engine's
+// against Insert/Delete writers against WriteTo under the engine's
 // read lock. Run it under `go test -race` (the CI race job does).
 func TestServeSoak(t *testing.T) {
 	eng, ds := baseEngine(t)
-	s, _, c := startServer(t, server.Config{
-		Engine:   eng,
-		Window:   time.Millisecond,
-		BatchMax: 16,
-	})
+	_, _, c := startServer(t, server.Config{Engine: eng})
 
 	soak := 2 * time.Second
 	queryClients := 4
@@ -75,7 +71,7 @@ func TestServeSoak(t *testing.T) {
 		}(cl)
 	}
 
-	// Mutator: insert fresh photos through the coalesced path, then delete
+	// Mutator: insert fresh photos over the wire, then delete
 	// them, so the index churns while staying bounded.
 	wg.Add(1)
 	go func() {
@@ -135,8 +131,8 @@ func TestServeSoak(t *testing.T) {
 		t.Fatalf("soak did not exercise all paths: %d queries, %d inserts, %d snapshots",
 			queries.Load(), inserts.Load(), snapshots.Load())
 	}
-	t.Logf("soak: %d queries, %d insert/delete pairs, %d verified hot snapshots (%d insert batches)",
-		queries.Load(), inserts.Load(), snapshots.Load(), s.Stats().InsertBatches)
+	t.Logf("soak: %d queries, %d insert/delete pairs, %d verified hot snapshots",
+		queries.Load(), inserts.Load(), snapshots.Load())
 }
 
 var errNoResults = &emptyResultsError{}
@@ -154,11 +150,7 @@ func (*emptyResultsError) Error() string { return "query returned no results dur
 func TestCacheChurnSoak(t *testing.T) {
 	eng, ds := baseEngine(t)
 	eng.ConfigureCache(512, 512)
-	s, _, c := startServer(t, server.Config{
-		Engine:   eng,
-		Window:   time.Millisecond,
-		BatchMax: 16,
-	})
+	s, _, c := startServer(t, server.Config{Engine: eng})
 
 	rounds, churn := 4, 300*time.Millisecond
 	if testing.Short() {

@@ -373,6 +373,11 @@ func (s *Server) ringCommit(wire RingConfigWire) (*RingStatusResponse, error) {
 			continue
 		}
 		if err := eng.Delete(id); err != nil {
+			// A concurrent replicated delete may have removed the id
+			// between the listing and the shed; its absence is the goal.
+			if !eng.Contains(id) {
+				continue
+			}
 			return nil, fmt.Errorf("server: shedding %d: %w", id, err)
 		}
 		shed++

@@ -1,15 +1,14 @@
 // Package server is the network serving layer of the FAST reproduction:
-// an HTTP/JSON API over net/http wrapping a core.Engine, with the three
-// mechanisms a query index needs to survive network fan-in:
+// an HTTP/JSON API over net/http wrapping a core.Engine:
 //
 //   - admission control: a slot semaphore plus a bounded waiting line;
 //     work beyond both limits is refused with 429 + Retry-After instead of
 //     being allowed to pile onto the scheduler;
-//   - insert coalescing: concurrently arriving inserts are micro-batched
-//     (up to BatchMax photos or Window, whichever first) into single
-//     Engine.InsertBatch calls — one lock hold and one view publish per
-//     batch. Queries are not batched: each runs Engine.Query on its own
-//     handler goroutine against the lock-free published view;
+//   - direct engine calls: every query and insert runs its engine call on
+//     its own handler goroutine — Engine.Query against the lock-free
+//     published view, Engine.Insert under the engine lock with one view
+//     publish per photo — so nothing waits on a batching window and a
+//     request is acknowledged only after its engine call returned;
 //   - hot snapshots: /v1/snapshot streams the index through Engine.WriteTo
 //     under the engine's read lock, so queries keep flowing while the
 //     snapshot is cut.
@@ -39,16 +38,16 @@ import (
 type Config struct {
 	// Engine is the index to serve; required.
 	Engine *core.Engine
-	// Window is the insert coalescing window: after the first insert of a
-	// batch arrives, the collector waits at most this long for more before
-	// dispatching. 0 disables coalescing — every insert runs its own engine
-	// call. Queries never wait on it.
+	// Window is ignored: every insert runs its own engine call.
+	//
+	// Deprecated: kept only because the repository benchmark still sets it;
+	// removed with the next benchmark change.
 	Window time.Duration
-	// BatchMax caps photos per coalesced insert batch; 0 means 32.
+	// BatchMax is ignored, like Window.
+	//
+	// Deprecated: kept only because the repository benchmark still sets it;
+	// removed with the next benchmark change.
 	BatchMax int
-	// BatchWorkers is the worker count passed to Engine.InsertBatch per
-	// dispatched batch; 0 means GOMAXPROCS.
-	BatchWorkers int
 	// MaxInflight bounds concurrently executing requests; 0 means
 	// 8*GOMAXPROCS.
 	MaxInflight int
@@ -77,9 +76,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BatchMax <= 0 {
-		c.BatchMax = 32
-	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 8 * runtime.GOMAXPROCS(0)
 	}
@@ -104,37 +100,27 @@ type serverMetrics struct {
 	deletes      metrics.Counter
 	rejected     metrics.Counter
 	snapshots    metrics.Counter
-	insertBatch  metrics.IntDist    // photos per dispatched insert batch
-	queueWait    *metrics.Histogram // insert coalescing delay
 }
 
 // Server wraps an engine with the HTTP serving layer. Construct with New,
 // mount Handler on an http.Server, and on shutdown call BeginDrain, then
-// http.Server.Shutdown, then Close (in that order — Close assumes no
-// handler is still submitting work).
+// http.Server.Shutdown: once Shutdown returns, every acknowledged
+// mutation is in the engine.
 type Server struct {
 	cfg Config
 
 	engineMu sync.RWMutex
 	engine   *core.Engine
 
-	adm       *admission
-	inserts   *coalescer[insertJob]
-	met       serverMetrics
-	draining  atomic.Bool
-	closeOnce sync.Once
-	start     time.Time
+	adm      *admission
+	met      serverMetrics
+	draining atomic.Bool
+	start    time.Time
 
 	// Shard-mode placement state (nil without Config.Shard); see ring.go.
 	shardCfg ShardConfig
 	ringMu   sync.Mutex
 	ring     *shardRing
-}
-
-type insertJob struct {
-	photo     *simimg.Photo
-	submitted time.Time
-	resp      chan error
 }
 
 // New builds a Server around cfg.Engine.
@@ -148,7 +134,6 @@ func New(cfg Config) (*Server, error) {
 		engine: cfg.Engine,
 		start:  time.Now(),
 	}
-	s.met.queueWait = metrics.NewHistogram()
 	s.adm = newAdmission(cfg.MaxInflight, cfg.MaxQueue, &s.met.rejected)
 	if cfg.Shard != nil {
 		s.shardCfg = *cfg.Shard
@@ -157,9 +142,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.ring = ring
-	}
-	if cfg.Window > 0 {
-		s.inserts = newCoalescer(cfg.Window, cfg.BatchMax, s.dispatchInserts)
 	}
 	return s, nil
 }
@@ -186,16 +168,10 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // Draining reports whether BeginDrain was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close stops the insert coalescer after its in-flight batches finish. It
-// must only be called once no handler is still submitting — i.e. after
-// http.Server.Shutdown has returned. Close is idempotent.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		if s.inserts != nil {
-			s.inserts.close()
-		}
-	})
-}
+// Close does nothing: the server owns no goroutine or resource beyond its
+// handlers. Kept only because the repository benchmark still defers it;
+// removed with the next benchmark change.
+func (s *Server) Close() {}
 
 // Handler returns the /v1 API mux.
 func (s *Server) Handler() http.Handler {
@@ -343,13 +319,11 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	photo := &simimg.Photo{ID: req.ID, Img: img}
-	if s.inserts != nil {
-		job := insertJob{photo: photo, submitted: time.Now(), resp: make(chan error, 1)}
-		s.inserts.submit(job)
-		err = <-job.resp
-	} else {
-		err = s.Engine().Insert(photo)
+	// Failpoint: Delay is a slow engine holding this request's admission
+	// slot, Error fails the insert, Panic unwinds into net/http's
+	// per-request recover.
+	if err = failpoint.Eval(failpoint.ServerDispatchInsert); err == nil {
+		err = s.Engine().Insert(&simimg.Photo{ID: req.ID, Img: img})
 	}
 	if err != nil {
 		s.met.insertErrors.Inc()
@@ -474,7 +448,6 @@ func (s *Server) Stats() Stats {
 	eng := s.Engine()
 	est := eng.Stats()
 	cs := eng.CacheStats()
-	qw := s.met.queueWait.Summarize()
 	st := Stats{
 		Queries:           s.met.queries.Load(),
 		QueryErrors:       s.met.queryErrors.Load(),
@@ -483,11 +456,6 @@ func (s *Server) Stats() Stats {
 		Deletes:           s.met.deletes.Load(),
 		AdmissionRejected: s.met.rejected.Load(),
 		Snapshots:         s.met.snapshots.Load(),
-		InsertBatches:     s.met.insertBatch.Count(),
-		InsertBatchMean:   s.met.insertBatch.Mean(),
-		InsertBatchMax:    s.met.insertBatch.Max(),
-		QueueWaitMeanNs:   qw.Mean.Nanoseconds(),
-		QueueWaitP99Ns:    qw.P99.Nanoseconds(),
 		Draining:          s.draining.Load(),
 		UptimeNs:          time.Since(s.start).Nanoseconds(),
 		Photos:            est.Photos,
@@ -533,67 +501,4 @@ func (s *Server) Stats() Stats {
 	}
 	st.Ring = s.RingStatus()
 	return st
-}
-
-// --- coalesced dispatch ---
-
-// dispatchInserts commits one micro-batch through Engine.InsertBatch.
-// InsertBatch stops at the first failing photo; the loop reports that
-// failure to its requester and resumes with the remainder, so one bad
-// insert (e.g. a duplicate ID) does not poison the requests coalesced
-// behind it.
-func (s *Server) dispatchInserts(batch []insertJob) {
-	// A panic in the engine (or in this dispatch logic) runs on the
-	// coalescer's goroutine, outside net/http's per-request recover —
-	// unguarded it would crash the daemon. Convert it into an error reply to
-	// every job of this batch; the non-blocking sends skip jobs already
-	// answered before the panic.
-	defer func() {
-		if p := recover(); p != nil {
-			err := fmt.Errorf("server: insert batch panicked: %v", p)
-			for _, j := range batch {
-				select {
-				case j.resp <- err:
-				default:
-				}
-			}
-		}
-	}()
-	if err := failpoint.Eval(failpoint.ServerDispatchInsert); err != nil {
-		err = fmt.Errorf("server: insert dispatch failed: %w", err)
-		for _, j := range batch {
-			select {
-			case j.resp <- err:
-			default:
-			}
-		}
-		return
-	}
-	now := time.Now()
-	photos := make([]*simimg.Photo, len(batch))
-	for i, j := range batch {
-		photos[i] = j.photo
-		s.met.queueWait.Record(now.Sub(j.submitted))
-	}
-	s.met.insertBatch.Record(int64(len(batch)))
-
-	rest := batch
-	for len(rest) > 0 {
-		ps := make([]*simimg.Photo, len(rest))
-		for i, j := range rest {
-			ps[i] = j.photo
-		}
-		st, err := s.Engine().InsertBatch(ps, s.cfg.BatchWorkers)
-		for i := 0; i < st.Photos && i < len(rest); i++ {
-			rest[i].resp <- nil
-		}
-		if err == nil {
-			break
-		}
-		if st.Photos >= len(rest) {
-			break
-		}
-		rest[st.Photos].resp <- err
-		rest = rest[st.Photos+1:]
-	}
 }

@@ -18,6 +18,7 @@ import (
 	"github.com/fastrepro/fast/internal/core"
 	"github.com/fastrepro/fast/internal/failpoint"
 	"github.com/fastrepro/fast/internal/server"
+	"github.com/fastrepro/fast/internal/simimg"
 	"github.com/fastrepro/fast/internal/store"
 	"github.com/fastrepro/fast/internal/workload"
 )
@@ -69,19 +70,16 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Ser
 		t.Fatalf("server.New: %v", err)
 	}
 	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		s.Close()
-	})
+	t.Cleanup(hs.Close)
 	c := client.New(hs.URL, client.WithHTTPClient(hs.Client()), client.WithRetries(2, 20*time.Millisecond))
 	return s, hs, c
 }
 
 // TestQueryIdentityOverWire fires 32 concurrent network queries with mixed
-// topK budgets at a server whose insert coalescing window is a full second:
-// every answer must be byte-identical to a direct Engine.Query call, and no
-// query may wait on the window — queries run straight on their handler
-// goroutines, so with no inserts the coalescer records nothing at all.
+// topK budgets at a server configured with the deprecated one-second
+// Window: every answer must be byte-identical to a direct Engine.Query
+// call, and no query may wait on the window — queries run straight on
+// their handler goroutines.
 func TestQueryIdentityOverWire(t *testing.T) {
 	eng, ds := baseEngine(t)
 	s, _, c := startServer(t, server.Config{Engine: eng, Window: time.Second})
@@ -138,19 +136,87 @@ func TestQueryIdentityOverWire(t *testing.T) {
 	if st.Queries != rounds*int64(len(qs)) {
 		t.Errorf("stats queries = %d, want %d", st.Queries, rounds*len(qs))
 	}
-	if st.QueueWaitMeanNs != 0 || st.InsertBatches != 0 {
-		t.Errorf("queries waited on the coalescer: queue wait mean %v, %d insert batches",
-			time.Duration(st.QueueWaitMeanNs), st.InsertBatches)
+	if st.QueueWaitMeanNs != 0 {
+		t.Errorf("queries waited on a window: queue wait mean %v", time.Duration(st.QueueWaitMeanNs))
+	}
+}
+
+// TestInsertsNeverWaitOnWindow runs eight sequential wire inserts against
+// a server configured with the deprecated one-second Window and BatchMax:
+// each insert runs Engine.Insert on its own handler goroutine, so all
+// eight finish well inside one window and every photo is indexed when its
+// acknowledgment arrives.
+func TestInsertsNeverWaitOnWindow(t *testing.T) {
+	eng, ds := baseEngine(t)
+	s, _, c := startServer(t, server.Config{Engine: eng, Window: time.Second, BatchMax: 32})
+	ctx := context.Background()
+	start := time.Now()
+	for i := 0; i < 8; i++ {
+		p := ds.FreshPhoto(uint64(9_400_001+i), int64(60+i))
+		if err := c.Insert(ctx, p.ID, p.Img); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		if !eng.Contains(p.ID) {
+			t.Fatalf("insert %d acknowledged before it was indexed", i)
+		}
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("8 sequential inserts took %v: inserts waited on the window", took)
+	}
+	if st := s.Stats(); st.Inserts != 8 || st.QueueWaitMeanNs != 0 {
+		t.Fatalf("inserts/queue wait = %d/%v, want 8/0", st.Inserts, time.Duration(st.QueueWaitMeanNs))
+	}
+}
+
+// TestDispatchInsertsResumesAfterFailure sends three concurrent wire
+// inserts — fresh, duplicate, fresh. Each runs its own engine call, so the
+// duplicate's 422 cannot fail or delay the fresh photos beside it.
+func TestDispatchInsertsResumesAfterFailure(t *testing.T) {
+	eng, ds := baseEngine(t)
+	_, hs, _ := startServer(t, server.Config{Engine: eng})
+	photos := []*simimg.Photo{ds.FreshPhoto(9_200_001, 21), ds.Photos[0], ds.FreshPhoto(9_200_002, 22)}
+	want := []int{http.StatusOK, http.StatusUnprocessableEntity, http.StatusOK}
+	codes := make([]int, len(photos))
+	var wg sync.WaitGroup
+	for i, p := range photos {
+		wi, err := server.EncodeImage(p.Img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(server.InsertRequest{ID: p.ID, Image: wi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := hs.Client().Post(hs.URL+"/v1/insert", "application/json", bytes.NewReader(payload))
+			if err != nil {
+				codes[i] = -1
+				return
+			}
+			resp.Body.Close()
+			codes[i] = resp.StatusCode
+		}(i)
+	}
+	wg.Wait()
+	for i := range want {
+		if codes[i] != want[i] {
+			t.Fatalf("insert statuses %v, want %v", codes, want)
+		}
+	}
+	indexed := map[uint64]bool{}
+	for _, id := range eng.IDs() {
+		indexed[id] = true
+	}
+	if !indexed[photos[0].ID] || !indexed[photos[2].ID] {
+		t.Fatal("a fresh insert beside the failed duplicate was lost")
 	}
 }
 
 func TestInsertDeleteOverWire(t *testing.T) {
 	eng, ds := baseEngine(t)
-	_, _, c := startServer(t, server.Config{
-		Engine:   eng,
-		Window:   2 * time.Millisecond,
-		BatchMax: 8,
-	})
+	_, _, c := startServer(t, server.Config{Engine: eng})
 	ctx := context.Background()
 
 	p := ds.FreshPhoto(9_000_001, 5)
@@ -415,45 +481,76 @@ func TestAdmissionBackpressure(t *testing.T) {
 	}
 }
 
-// TestQueryFailpointErrorAndPanic arms the query site between admission
-// and Engine.Query: Error must answer 422 "query failed" and count a query
-// error, and Panic must cost only its own request — net/http recovers it,
-// the admission slot is handed back, and the next query is answered.
+// TestQueryFailpointErrorAndPanic arms the query and the insert site,
+// each between admission and its engine call: Error must answer 422 and
+// count an error, and Panic must cost only its own request — net/http
+// recovers it, the admission slot (of a one-slot server) is handed back,
+// and the next request is answered.
 func TestQueryFailpointErrorAndPanic(t *testing.T) {
-	eng, ds := baseEngine(t)
-	s, hs, c := startServer(t, server.Config{Engine: eng, MaxInflight: 1, MaxQueue: 1})
-	t.Cleanup(func() { failpoint.Disable(failpoint.ServerDispatchQuery) })
-	wi, err := server.EncodeImage(ds.Photos[0].Img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := json.Marshal(server.QueryRequest{Image: wi, TopK: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name, site, path, failed string
+		body                     func(wi server.WireImage) interface{}
+		counts                   func(st server.Stats) (errs, ok int64)
+		after                    func(c *client.Client, p *simimg.Photo) error
+	}{
+		{
+			name: "query", site: failpoint.ServerDispatchQuery, path: "/v1/query", failed: "query failed",
+			body:   func(wi server.WireImage) interface{} { return server.QueryRequest{Image: wi, TopK: 5} },
+			counts: func(st server.Stats) (int64, int64) { return st.QueryErrors, st.Queries },
+			after: func(c *client.Client, p *simimg.Photo) error {
+				_, err := c.Query(context.Background(), p.Img, 5)
+				return err
+			},
+		},
+		{
+			name: "insert", site: failpoint.ServerDispatchInsert, path: "/v1/insert", failed: "insert failed",
+			body: func(wi server.WireImage) interface{} {
+				return server.InsertRequest{ID: 9_500_001, Image: wi}
+			},
+			counts: func(st server.Stats) (int64, int64) { return st.InsertErrors, st.Inserts },
+			after: func(c *client.Client, p *simimg.Photo) error {
+				return c.Insert(context.Background(), 9_500_001, p.Img)
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, ds := baseEngine(t)
+			s, hs, c := startServer(t, server.Config{Engine: eng, MaxInflight: 1, MaxQueue: 1})
+			t.Cleanup(func() { failpoint.Disable(tc.site) })
+			p := ds.FreshPhoto(9_500_001, 3)
+			wi, err := server.EncodeImage(p.Img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := json.Marshal(tc.body(wi))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	failpoint.Enable(failpoint.ServerDispatchQuery, failpoint.Policy{Action: failpoint.Error})
-	resp, err := hs.Client().Post(hs.URL+"/v1/query", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var er server.ErrorResponse
-	_ = json.NewDecoder(resp.Body).Decode(&er)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains([]byte(er.Error), []byte("query failed")) {
-		t.Fatalf("injected error: status %d %q, want 422 query failed", resp.StatusCode, er.Error)
-	}
-	if st := s.Stats(); st.QueryErrors != 1 || st.Queries != 0 {
-		t.Fatalf("query errors/queries = %d/%d, want 1/0", st.QueryErrors, st.Queries)
-	}
+			failpoint.Enable(tc.site, failpoint.Policy{Action: failpoint.Error})
+			resp, err := hs.Client().Post(hs.URL+tc.path, "application/json", bytes.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er server.ErrorResponse
+			_ = json.NewDecoder(resp.Body).Decode(&er)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains([]byte(er.Error), []byte(tc.failed)) {
+				t.Fatalf("injected error: status %d %q, want 422 %s", resp.StatusCode, er.Error, tc.failed)
+			}
+			if errs, ok := tc.counts(s.Stats()); errs != 1 || ok != 0 {
+				t.Fatalf("errors/successes = %d/%d, want 1/0", errs, ok)
+			}
 
-	failpoint.Enable(failpoint.ServerDispatchQuery, failpoint.Policy{Action: failpoint.Panic, Times: 1})
-	if resp, err := hs.Client().Post(hs.URL+"/v1/query", "application/json", bytes.NewReader(payload)); err == nil {
-		resp.Body.Close()
-		t.Fatalf("panicking query answered with status %d", resp.StatusCode)
-	}
-	if _, err := c.Query(context.Background(), ds.Photos[0].Img, 5); err != nil {
-		t.Fatalf("query after a recovered panic (slot leaked?): %v", err)
+			failpoint.Enable(tc.site, failpoint.Policy{Action: failpoint.Panic, Times: 1})
+			if resp, err := hs.Client().Post(hs.URL+tc.path, "application/json", bytes.NewReader(payload)); err == nil {
+				resp.Body.Close()
+				t.Fatalf("panicking request answered with status %d", resp.StatusCode)
+			}
+			if err := tc.after(c, p); err != nil {
+				t.Fatalf("request after a recovered panic (slot leaked?): %v", err)
+			}
+		})
 	}
 }
 
@@ -463,11 +560,7 @@ func TestQueryFailpointErrorAndPanic(t *testing.T) {
 // engine that answers queries identically.
 func TestDrainRefusesAndFinalSnapshotIsIdentical(t *testing.T) {
 	eng, ds := baseEngine(t)
-	s, hs, c := startServer(t, server.Config{
-		Engine:   eng,
-		Window:   2 * time.Millisecond,
-		BatchMax: 8,
-	})
+	s, hs, c := startServer(t, server.Config{Engine: eng})
 	ctx := context.Background()
 
 	// Mutate through the API so the final snapshot has acknowledged writes
@@ -522,7 +615,6 @@ func TestDrainRefusesAndFinalSnapshotIsIdentical(t *testing.T) {
 
 	// The drained server's engine snapshot reloads into an engine that
 	// answers identically (including the post-boot insert).
-	s.Close()
 	var snap bytes.Buffer
 	if _, err := s.Engine().WriteTo(&snap); err != nil {
 		t.Fatal(err)
@@ -666,7 +758,7 @@ func TestWireImageRoundTrip(t *testing.T) {
 
 func TestStatsDocument(t *testing.T) {
 	eng, ds := baseEngine(t)
-	_, hs, c := startServer(t, server.Config{Engine: eng, Window: time.Millisecond})
+	_, hs, c := startServer(t, server.Config{Engine: eng})
 	ctx := context.Background()
 	qs, err := ds.Queries(3, 3)
 	if err != nil {
@@ -710,8 +802,8 @@ func TestStatsDocument(t *testing.T) {
 	}
 	resp.Body.Close()
 	for _, field := range []string{
-		"queries", "admission_rejected", "insert_batches", "insert_batch_mean",
-		"queue_wait_mean_ns", "photos", "index_bytes", "draining", "uptime_ns",
+		"queries", "admission_rejected", "queue_wait_mean_ns", "photos",
+		"index_bytes", "draining", "uptime_ns",
 	} {
 		if _, ok := raw[field]; !ok {
 			t.Errorf("stats JSON missing field %q", field)

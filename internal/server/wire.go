@@ -186,26 +186,22 @@ type ErrorResponse struct {
 
 // Stats is the body of GET /v1/stats. Field-by-field documentation lives
 // in DESIGN.md ("Serving layer"); briefly: Queries/Inserts/Deletes count
-// requests that reached the engine, AdmissionRejected counts 429s,
-// InsertBatches counts coalesced InsertBatch calls with InsertBatchMean/Max
-// their photo counts, and QueueWait* are the insert coalescer's collection
-// delay percentiles in nanoseconds. Queries are never coalesced.
+// requests that reached the engine and AdmissionRejected counts 429s.
+// Every request runs its own engine call, so nothing is batched and
+// nothing waits on a window: QueryDeduped, QueryBatchMean and
+// QueueWaitMeanNs are always 0.
 type Stats struct {
 	// Serving counters.
 	Queries           int64   `json:"queries"`            // queries answered by the engine
 	QueryErrors       int64   `json:"query_errors"`       // queries that returned an engine error
-	QueryDeduped      int64   `json:"query_deduped"`      // always 0 (queries are not coalesced); removed with the next benchmark change
+	QueryDeduped      int64   `json:"query_deduped"`      // always 0 (nothing is batched); removed with the next benchmark change
 	Inserts           int64   `json:"inserts"`            // photos inserted
 	InsertErrors      int64   `json:"insert_errors"`      // inserts that returned an engine error
 	Deletes           int64   `json:"deletes"`            // photos deleted
 	AdmissionRejected int64   `json:"admission_rejected"` // requests refused with 429 (queue full)
 	Snapshots         int64   `json:"snapshots"`          // hot snapshots streamed
 	QueryBatchMean    float64 `json:"query_batch_mean"`   // always 0, like QueryDeduped
-	InsertBatches     int64   `json:"insert_batches"`     // coalesced InsertBatch dispatches
-	InsertBatchMean   float64 `json:"insert_batch_mean"`  // mean photos per dispatched insert batch
-	InsertBatchMax    int64   `json:"insert_batch_max"`   // largest dispatched insert batch
-	QueueWaitMeanNs   int64   `json:"queue_wait_mean_ns"` // mean insert coalescing delay (submit -> dispatch)
-	QueueWaitP99Ns    int64   `json:"queue_wait_p99_ns"`  // p99 insert coalescing delay
+	QueueWaitMeanNs   int64   `json:"queue_wait_mean_ns"` // always 0, like QueryDeduped
 	Draining          bool    `json:"draining"`           // true once graceful shutdown began
 	UptimeNs          int64   `json:"uptime_ns"`          // time since the server was constructed
 
