@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEngine$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzReadManifest$$' -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz='^FuzzCuckooInsertDelete$$' -fuzztime=$(FUZZTIME) ./internal/cuckoo
+	$(GO) test -run='^$$' -fuzz='^FuzzJaccardKernels$$' -fuzztime=$(FUZZTIME) ./internal/bloom
 
 # Failpoint soak: every fault-injection suite (snapshot crash matrix,
 # chunk-store crash matrix + GC interleavings, generation rotation,

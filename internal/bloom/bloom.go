@@ -92,15 +92,6 @@ func (f *Filter) Add(item uint64) {
 // AddBytes hashes an arbitrary byte string into the filter.
 func (f *Filter) AddBytes(p []byte) { f.Add(fnv64(p)) }
 
-// Clone returns an independent deep copy of the filter, including its item
-// count. Callers that hand one summary to multiple owners (the engine's
-// probe-summary cache) clone so no owner can mutate another's view.
-func (f *Filter) Clone() *Filter {
-	c := &Filter{m: f.m, k: f.k, n: f.n, bits: make([]uint64, len(f.bits))}
-	copy(c.bits, f.bits)
-	return c
-}
-
 // Contains reports whether item may be in the filter (no false negatives;
 // false positives at the configured rate).
 func (f *Filter) Contains(item uint64) bool {

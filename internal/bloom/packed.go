@@ -17,6 +17,10 @@ import "math/bits"
 // JaccardSparse computes from the position lists, so a Jaccard score built
 // from packed words is bit-for-bit identical (same integer counts, same one
 // float64 division) to the sparse merge.
+//
+// Only a probe needs its packed image: JaccardPackedSparse tests a stored
+// summary's positions against it (the bitmap-probe form), so the hot index
+// keeps each summary sparse. The cold tier stores and scores packed words.
 
 // PackedWords returns the number of 64-bit words a filter of m bits packs
 // into.
@@ -80,6 +84,26 @@ func AndOrCount(a, b []uint64) (inter, union int) {
 		union += bits.OnesCount64(w | b[i])
 	}
 	return inter, union
+}
+
+// JaccardPackedSparse computes |A∩B|/|A∪B| for A given as packed words with
+// na set bits and B as distinct set-bit positions: one bit test of A's
+// words per position of B gives |A∩B|, and |A∪B| = na + |B| − |A∩B| — the
+// integers AndOrCount computes, so for na = popcount(words) the score is
+// JaccardPacked's and JaccardSparse's float64. Positions beyond the packed
+// words are not in A. Two empty sets score 1.
+func JaccardPackedSparse(words []uint64, na int, bits []uint32) float64 {
+	inter := 0
+	for _, b := range bits {
+		if w := int(b / 64); w < len(words) {
+			inter += int(words[w] >> (b % 64) & 1)
+		}
+	}
+	union := na + len(bits) - inter
+	if union == 0 {
+		return 1
+	}
+	return float64(inter) / float64(union)
 }
 
 // JaccardPacked computes |A∩B|/|A∪B| over packed words: the word-parallel

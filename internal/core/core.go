@@ -158,14 +158,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// entry is the per-photo index record. words is the packed []uint64 image
-// of summary's set bits, precomputed at store time so the read path scores
-// candidates word-parallel (see view.go) without touching the sparse form.
-// A zero entry (nil summary) is a deletion tombstone.
+// entry is the per-photo index record: the photo's sparse summary and
+// nothing else. The read path scores it against the probe's packed words
+// (see view.go), so no packed copy is kept. A zero entry (nil summary) is a
+// deletion tombstone.
 type entry struct {
 	id      uint64
 	summary *bloom.Sparse
-	words   []uint64
 }
 
 // Engine is the FAST index.
@@ -201,7 +200,7 @@ type Engine struct {
 	// pointers are atomic so ConfigureCache can swap tiers in and out while
 	// queries run.
 	epoch       atomic.Uint64
-	sumCache    atomic.Pointer[cache.Cache[summaryEntry]]
+	sumCache    atomic.Pointer[cache.Cache[*bloom.Sparse]]
 	resCache    atomic.Pointer[cache.Cache[[]SearchResult]]
 	sumCacheCap atomic.Int64 // configured T1 bound (0 = disabled)
 	resCacheCap atomic.Int64 // configured T2 bound (0 = disabled)
@@ -412,28 +411,17 @@ func (e *Engine) IDs() []uint64 {
 // boundaries and would break the router's byte-identity guarantee.
 func (e *Engine) GroupExpand() int { return e.cfg.GroupExpand }
 
-// Summarize runs FE+SM on an image without touching the index; it is used
-// by Query and exposed for the smartphone-side client. It reads the
-// published view's basis, so it never blocks on a concurrent Build. With
-// the summary cache enabled, repeated rasters hit the memoized summary and
-// skip FE+SM; the returned filter is always the caller's to mutate (hits
-// are cloned).
+// Summarize runs FE+SM on an image without touching the index, for the
+// smartphone-side client and the Summarize + QuerySummary split. It reads
+// the published view's basis, so it never blocks on a concurrent Build. It
+// bypasses the summary cache (which holds sparse summaries only), so the
+// returned filter is always freshly computed and the caller's to mutate.
 func (e *Engine) Summarize(img *simimg.Image) (*bloom.Filter, error) {
 	v := e.view.Load()
 	if v == nil {
 		return nil, errors.New("core: engine not built")
 	}
-	sc := e.sumCache.Load()
-	if sc == nil {
-		return e.summarizeWith(v.pca, img)
-	}
-	ent, err := e.cachedSummary(sc, v, img)
-	if err != nil {
-		return nil, err
-	}
-	// Whether hit, leader or singleflight waiter, the filter is shared with
-	// the cache entry, so hand out a clone.
-	return ent.filter.Clone(), nil
+	return e.summarizeWith(v.pca, img)
 }
 
 // summarizeWith is the FE+SM pipeline against an explicit trained basis; it
@@ -475,13 +463,21 @@ func (e *Engine) Query(img *simimg.Image, topK int) ([]SearchResult, error) {
 // entirely, with the given number of candidate-scoring workers (the
 // multicore path of Figure 7). It returns the exact results a full Query
 // of the originating probe would return, at every worker count: Summarize +
-// bloom.ToSparse + QuerySummary ≡ Query. A summary with no set bits answers
-// nil: a featureless probe has nothing to aggregate on.
+// bloom.ToSparse + QuerySummary ≡ Query. A probe must pass checkSummary,
+// like every stored summary, so a foreign probe is an error on every tier.
+// A nil summary or one with no set bits answers nil: a featureless probe
+// has nothing to aggregate on.
 func (e *Engine) QuerySummary(ps *bloom.Sparse, topK, workers int) ([]SearchResult, error) {
 	if topK <= 0 {
 		return nil, fmt.Errorf("core: topK must be positive, got %d", topK)
 	}
-	if ps == nil || len(ps.Bits) == 0 {
+	if ps == nil {
+		return nil, nil
+	}
+	if err := checkSummary(ps, e.cfg.Summary); err != nil {
+		return nil, fmt.Errorf("core: probe summary: %w", err)
+	}
+	if len(ps.Bits) == 0 {
 		return nil, nil
 	}
 	return e.searchCached(ps, topK, workers)

@@ -251,7 +251,7 @@ func (e *Engine) storeLocked(id uint64, sparse *bloom.Sparse) error {
 		}
 	}
 	slot := len(e.entries)
-	e.entries = append(e.entries, entry{id: id, summary: sparse, words: sparse.Packed()})
+	e.entries = append(e.entries, entry{id: id, summary: sparse})
 	if err := e.table.Insert(id, uint64(slot)); err != nil {
 		// Roll the half-applied store back so every structure — LSH, entry
 		// slice, table — agrees on the photo being absent.

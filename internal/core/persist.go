@@ -10,7 +10,6 @@ import (
 	"io"
 
 	"github.com/fastrepro/fast/internal/bloom"
-	"github.com/fastrepro/fast/internal/cuckoo"
 	"github.com/fastrepro/fast/internal/failpoint"
 	"github.com/fastrepro/fast/internal/feature"
 	"github.com/fastrepro/fast/internal/linalg"
@@ -439,25 +438,12 @@ func readEntriesSection(br byteReader, cfg Config, pca *feature.PCASIFT) (*Engin
 
 	e := NewEngine(cfg)
 	e.pcasift = pca
-	capacity := e.cfg.TableCapacity
-	if capacity == 0 {
-		capacity = 2 * len(raw)
-		if capacity < 1024 {
-			capacity = 1024
-		}
-	}
-	var err error
-	e.index, err = lsh.NewMinHash(e.cfg.LSH)
-	if err != nil {
-		return nil, fmt.Errorf("%w: lsh params: %v", errBadSnapshot, err)
-	}
-	e.table, err = cuckoo.NewFlat(capacity, e.cfg.Neighborhood, 0, 12345)
-	if err != nil {
-		return nil, fmt.Errorf("%w: table params: %v", errBadSnapshot, err)
+	if err := e.allocLocked(len(raw)); err != nil {
+		return nil, fmt.Errorf("%w: %v", errBadSnapshot, err)
 	}
 	for i, re := range raw {
 		slot := len(e.entries)
-		e.entries = append(e.entries, entry{id: re.id, summary: re.sp, words: re.sp.Packed()})
+		e.entries = append(e.entries, entry{id: re.id, summary: re.sp})
 		if len(re.sp.Bits) > 0 {
 			if err := e.index.Insert(lsh.ItemID(re.id), re.sp.Bits); err != nil {
 				return nil, fmt.Errorf("%w: entry %d lsh insert: %v", errBadSnapshot, i, err)

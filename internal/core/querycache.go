@@ -18,8 +18,9 @@ import (
 // contents). The halves invalidate on different events, so they get
 // different tiers:
 //
-//   - T1 (summary tier): raster fingerprint → summary. Never invalidated by
-//     index mutations; only Build, which retrains the basis, resets it.
+//   - T1 (summary tier): raster fingerprint → sparse summary, the one form
+//     the search back half reads. Never invalidated by index mutations;
+//     only Build, which retrains the basis, resets it.
 //   - T2 (result tier): (summary fingerprint, topK, epoch) → ranked results.
 //     Every mutation bumps the epoch under the write lock; entries computed
 //     against older index states stop being addressable rather than being
@@ -41,15 +42,6 @@ import (
 // and once the engine quiesces, a bumped epoch makes every old entry
 // unreachable.
 
-// summaryEntry is one T1 entry: both representations of a probe summary.
-// The sparse form feeds the search back half directly; the dense filter is
-// cloned on the way out of Summarize so callers can mutate their copy.
-// Neither field is written after the entry is stored.
-type summaryEntry struct {
-	sparse *bloom.Sparse
-	filter *bloom.Filter
-}
-
 // ConfigureCache swaps in freshly-emptied cache tiers with the given entry
 // bounds (≤0 disables a tier). It is safe to call while queries run: the
 // tier pointers are atomic, in-flight queries finish against the tier they
@@ -65,7 +57,7 @@ func (e *Engine) ConfigureCache(summaryEntries, resultEntries int) {
 	e.sumCacheCap.Store(int64(summaryEntries))
 	e.resCacheCap.Store(int64(resultEntries))
 	if summaryEntries > 0 {
-		e.sumCache.Store(cache.New[summaryEntry](summaryEntries))
+		e.sumCache.Store(cache.New[*bloom.Sparse](summaryEntries))
 	} else {
 		e.sumCache.Store(nil)
 	}
@@ -115,40 +107,27 @@ func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
 // when enabled, against the published view's basis — no engine lock. The T1
 // key derives the view's basisGen so a summary memoized under a superseded
 // basis (a query that overlapped a Build) can never be served after the
-// retrain; stale-generation entries simply age out of the LRU. The returned
-// summary may be shared with the cache and other queries; the search back
-// half treats it as read-only.
+// retrain; stale-generation entries simply age out of the LRU. Misses are
+// singleflighted per key. The returned summary may be shared with the cache
+// and other queries; the search back half treats it as read-only.
 func (e *Engine) probeSummary(img *simimg.Image) (*bloom.Sparse, error) {
 	v := e.view.Load()
 	if v == nil {
 		return nil, errors.New("core: engine not built")
 	}
-	sc := e.sumCache.Load()
-	if sc == nil {
+	summarize := func() (*bloom.Sparse, error) {
 		f, err := e.summarizeWith(v.pca, img)
 		if err != nil {
 			return nil, err
 		}
 		return bloom.ToSparse(f), nil
 	}
-	ent, err := e.cachedSummary(sc, v, img)
-	return ent.sparse, err
-}
-
-// cachedSummary is the one T1 lookup behind Summarize and probeSummary:
-// the raster fingerprint, derived by the view's basisGen, keys a
-// singleflighted FE+SM against the view's basis. The entry is shared with
-// the cache; callers must not mutate it.
-func (e *Engine) cachedSummary(sc *cache.Cache[summaryEntry], v *readView, img *simimg.Image) (summaryEntry, error) {
-	key := cache.ImageKey(img.W, img.H, img.Pix).Derive(v.basisGen)
-	ent, _, err := sc.GetOrCompute(key, func() (summaryEntry, error) {
-		f, err := e.summarizeWith(v.pca, img)
-		if err != nil {
-			return summaryEntry{}, err
-		}
-		return summaryEntry{sparse: bloom.ToSparse(f), filter: f}, nil
-	})
-	return ent, err
+	sc := e.sumCache.Load()
+	if sc == nil {
+		return summarize()
+	}
+	ps, _, err := sc.GetOrCompute(cache.ImageKey(img.W, img.H, img.Pix).Derive(v.basisGen), summarize)
+	return ps, err
 }
 
 // searchCached runs the search back half through T2 when enabled. Hits and

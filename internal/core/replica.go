@@ -60,12 +60,13 @@ func (e *Engine) InsertSummary(id uint64, s *bloom.Sparse) error {
 	return nil
 }
 
-// checkSummary rejects a summary the engine cannot store faithfully: its
-// geometry must be the configured one (an entry of another m is never
-// scored, and the compactor would pack it to the wrong width), and its
-// positions must be strictly increasing and below m (the sparse and packed
-// forms must agree on every bit). InsertSummary and ReadEngine both gate
-// on it.
+// checkSummary rejects a summary the engine cannot store or score
+// faithfully: its geometry must be the configured one (probe words are
+// packed at that width, and migration freezes entries at it), and its
+// positions must be strictly increasing and below m (so packing keeps every
+// position and the position count is the popcount the scoring kernel's
+// union count relies on). InsertSummary and ReadEngine gate stored
+// summaries on it; QuerySummary gates probes.
 func checkSummary(s *bloom.Sparse, sc bloom.SummaryConfig) error {
 	if s.M != sc.Bits || s.K != sc.K {
 		return fmt.Errorf("geometry %d/%d differs from config %d/%d", s.M, s.K, sc.Bits, sc.K)

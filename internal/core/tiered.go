@@ -22,10 +22,12 @@ import (
 // bucket. Queries probe hot first and spill to the cold postings of the
 // same band keys, so the union candidate set is exactly what an all-RAM
 // engine over the union corpus would collect, the scores are the same
-// word-parallel Jaccard over the same packed words, and the final ranking
-// goes through the same total-order comparator — a tiered engine answers
-// byte-identically to the all-hot oracle (enforced by the property and
-// crash-matrix tests).
+// integer Jaccard cardinalities (the hot tier tests stored positions
+// against the probe's packed words, the cold tier pops counts over the
+// packed words migration froze from those positions), and the final
+// ranking goes through the same total-order comparator — a tiered engine
+// answers byte-identically to the all-hot oracle (enforced by the property
+// and crash-matrix tests).
 //
 // Migration protocol (MigrateCold, all under e.mu):
 //
@@ -292,9 +294,9 @@ func (e *Engine) coldCompactor(cold *tiered.Store, kick, stop, done chan struct{
 // into a new cold segment and removes them from RAM. Returns how many
 // entries moved. Featureless entries (empty summaries) have no band keys
 // and stay hot forever; ids already cold (dual-resident crash debris) are
-// skipped. Answers over the union corpus are unchanged: the entries keep
-// their exact packed words and land in cold buckets keyed identically to
-// the hot buckets they leave.
+// skipped. Answers over the union corpus are unchanged: each entry is
+// packed as it freezes, the packed words hold exactly its positions, and it
+// lands in cold buckets keyed identically to the hot buckets it leaves.
 func (e *Engine) MigrateCold(max int) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -321,7 +323,7 @@ func (e *Engine) MigrateCold(max int) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("core: migrating photo %d: %w", ent.id, err)
 		}
-		batch = append(batch, tiered.Entry{ID: ent.id, Words: ent.words, Keys: keys})
+		batch = append(batch, tiered.Entry{ID: ent.id, Words: ent.summary.Packed(), Keys: keys})
 		ids = append(ids, ent.id)
 	}
 	if len(batch) == 0 {
@@ -390,10 +392,11 @@ func (e *Engine) CompactColdTier() error {
 // postings (tombstoned or superseded records). The probe's own spill
 // passes weight 1 and no exclude set; group expansion passes the
 // representative's probe score and the ids already in the result, which
-// are skipped and extended. Scores are the same word-parallel Jaccard the
-// hot path computes over the same packed words. The scan is counted once,
-// through coldStore's spill counters (non-empty buckets probed, postings
-// walked, bytes touched). No closures, no allocations beyond dst growth.
+// are skipped and extended. Scores are the same integer Jaccard
+// cardinalities the hot path computes, here popcounted over packed words on
+// both sides. The scan is counted once, through coldStore's spill counters
+// (non-empty buckets probed, postings walked, bytes touched). No closures,
+// no allocations beyond dst growth.
 func appendCold(cv *tiered.View, coldStore *tiered.Store, keys, words []uint64,
 	weight, minScore float64, exclude map[uint64]bool, seen map[lsh.ItemID]struct{},
 	dst []SearchResult, scratch []uint64) []SearchResult {

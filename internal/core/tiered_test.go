@@ -288,6 +288,62 @@ func TestSimCostCounts(t *testing.T) {
 	}
 }
 
+// TestQuerySummaryRejectsForeignGeometry pins that a probe no engine of this
+// configuration could have produced is an error on every tier. Scoring one
+// would give answers that depend on where entries live: no hot entry shares
+// a foreign width, while a cold posting's packed comparison truncates to the
+// shorter side and still scores.
+func TestQuerySummaryRejectsForeignGeometry(t *testing.T) {
+	ds := testDatasetCached(t)
+	hot := builtEngine(t, ds)
+	tiered := builtEngine(t, ds)
+	if _, err := tiered.EnableColdTier(t.TempDir(), 0, 0); err != nil {
+		t.Fatalf("EnableColdTier: %v", err)
+	}
+	defer tiered.CloseColdTier()
+	if n, err := tiered.MigrateCold(len(ds.Photos) / 2); err != nil || n == 0 {
+		t.Fatalf("MigrateCold: n=%d err=%v", n, err)
+	}
+	qs, err := ds.Queries(6, 321)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ps := range probeSparses(t, hot, qs) {
+		for _, e := range []*Engine{hot, tiered} {
+			if _, err := e.QuerySummary(ps, 20, 1); err != nil {
+				t.Fatalf("probe %d: the engine's own summary was rejected: %v", i, err)
+			}
+		}
+		var narrow []uint32 // the probe re-expressed at m = 4096
+		for _, b := range ps.Bits {
+			if b < 4096 {
+				narrow = append(narrow, b)
+			}
+		}
+		reversed := append([]uint32(nil), ps.Bits...)
+		for l, r := 0, len(reversed)-1; l < r; l, r = l+1, r-1 {
+			reversed[l], reversed[r] = reversed[r], reversed[l]
+		}
+		foreign := []struct {
+			name string
+			ps   *bloom.Sparse
+		}{
+			{"m=4096", &bloom.Sparse{M: 4096, K: ps.K, Bits: narrow}},
+			{"empty at m=4096", &bloom.Sparse{M: 4096, K: ps.K}},
+			{"k+1", &bloom.Sparse{M: ps.M, K: ps.K + 1, Bits: ps.Bits}},
+			{"position m", &bloom.Sparse{M: ps.M, K: ps.K, Bits: append(append([]uint32(nil), ps.Bits...), ps.M)}},
+			{"descending", &bloom.Sparse{M: ps.M, K: ps.K, Bits: reversed}},
+		}
+		for _, f := range foreign {
+			for name, e := range map[string]*Engine{"all-RAM": hot, "tiered": tiered} {
+				if res, err := e.QuerySummary(f.ps, 20, 1); err == nil {
+					t.Errorf("probe %d %s on the %s engine: answered %d results, want an error", i, f.name, name, len(res))
+				}
+			}
+		}
+	}
+}
+
 // TestTieredCrashRecoveryMatrix kills a migration at each of the three
 // tiered failpoint sites — inside the segment write, between segment and
 // catalog publish, and between the cold publish and the hot removal — then

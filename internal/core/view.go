@@ -36,12 +36,13 @@ import (
 // alive exactly as long as some in-flight query still holds the pointer,
 // then become unreachable. No quiescent-state tracking is needed.
 //
-// On top of the stable snapshot the per-candidate cost is word-parallel:
-// every stored summary keeps a packed []uint64 image of its bits alongside
-// the sparse form, and scoring runs fused AND+popcount/OR+popcount over
-// those words (bloom.AndOrCount) instead of merging sorted position lists.
-// The integer cardinalities are identical to the sparse merge, so scores
-// are the summaries' exact Jaccard similarities.
+// On top of the stable snapshot the per-candidate cost is one bit test per
+// stored position: a stored summary is only its sparse position list, the
+// probe is packed once per query into pooled words, and scoring
+// (bloom.JaccardPackedSparse) tests each stored position against those
+// words instead of merging sorted position lists. The integer
+// cardinalities are identical to the sparse merge, so scores are the
+// summaries' exact Jaccard similarities.
 //
 // searchView is the engine's only search back half: Query, QuerySummary
 // and QueryUncached all run it. view_test.go checks it against a
@@ -107,7 +108,8 @@ func (e *Engine) PublishedEpoch() uint64 {
 
 // viewScratch recycles the per-query allocations of searchView: the
 // candidate list and its dedup set, the packed probe words, the scoring
-// slice, the group-expansion member set and the expansion re-query buffers.
+// slice, the group-expansion member set, the expansion re-query buffers and
+// the packed words of the current expansion representative.
 type viewScratch struct {
 	ids      []lsh.ItemID
 	seen     map[lsh.ItemID]struct{}
@@ -116,14 +118,14 @@ type viewScratch struct {
 	inResult map[uint64]bool
 	gids     []lsh.ItemID
 	gseen    map[lsh.ItemID]struct{}
+	rwords   []uint64
 
 	// Cold-spill buffers, touched only when the view carries a cold tier:
 	// the probe's band keys, the per-posting word scratch (used on hosts
-	// without a zero-copy mmap word view), the cold representative's words
-	// and reconstructed bits, and the representative's band keys.
+	// without a zero-copy mmap word view), a cold representative's
+	// reconstructed bits, and the representative's band keys.
 	bandKeys []uint64
 	cwords   []uint64
-	rwords   []uint64
 	gkeys    []uint64
 	gbits    []uint32
 }
@@ -165,6 +167,9 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 
 	sc.words = bloom.AppendPacked(sc.words, probeSparse.M, probeSparse.Bits)
 	probeWords := sc.words
+	// The probe and every stored summary passed checkSummary: one geometry,
+	// and the probe's popcount is its position count.
+	probeN := len(probeSparse.Bits)
 
 	if cap(sc.results) < len(ids) {
 		sc.results = make([]SearchResult, len(ids))
@@ -172,9 +177,9 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 	results := sc.results[:len(ids)]
 
 	// Fetch and score fused, split across workers: each candidate is one
-	// constant-width lock-free table probe plus one word-parallel popcount
-	// pass — independent work, no shared writes except each worker's own
-	// result slots and one add of its access counts.
+	// constant-width lock-free table probe plus one bit test per stored
+	// position — independent work, no shared writes except each worker's
+	// own result slots and one add of its access counts.
 	nw := workers
 	if nw <= 0 {
 		nw = 1
@@ -195,11 +200,7 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 			// not (the O(1) flat addressing: constant work each).
 			n++
 			bytes += int64(ent.summary.SizeBytes())
-			if ent.summary.M != probeSparse.M {
-				results[i] = SearchResult{Score: -1}
-				continue
-			}
-			results[i] = SearchResult{ID: ent.id, Score: bloom.JaccardPacked(probeWords, ent.words)}
+			results[i] = SearchResult{ID: ent.id, Score: bloom.JaccardPackedSparse(probeWords, probeN, ent.summary.Bits)}
 		}
 		e.countAccesses(n, bytes)
 	}
@@ -274,19 +275,20 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 		var mates int64 // admitted hot groupmates, one access each
 		for h := 0; h < expandFrom; h++ {
 			hit := kept[h]
-			// Resolve the representative's summary from whichever tier
-			// holds it; a cold rep's bits are reconstructed from its packed
-			// words (exact inverse of packing), so the member re-probe uses
-			// the identical element set the all-hot engine would.
+			// Resolve the representative in both forms from whichever tier
+			// holds it: a hot rep is packed into pooled words, a cold rep's
+			// bits are reconstructed from its packed words (exact inverse of
+			// packing), so the member re-probe uses the identical element
+			// set the all-hot engine would.
 			var repWords []uint64
 			var repBits []uint32
-			var repM uint32
 			if slot, ok := v.table.Lookup(hit.ID); ok {
 				rep := &v.entries[slot]
 				if rep.summary == nil || len(rep.summary.Bits) == 0 {
 					continue
 				}
-				repWords, repBits, repM = rep.words, rep.summary.Bits, rep.summary.M
+				sc.rwords = bloom.AppendPacked(sc.rwords, rep.summary.M, rep.summary.Bits)
+				repWords, repBits = sc.rwords, rep.summary.Bits
 			} else if coldActive {
 				seg, rec, ok := v.cold.Lookup(hit.ID)
 				if !ok {
@@ -301,7 +303,6 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 				if len(repBits) == 0 {
 					continue
 				}
-				repM = probeSparse.M // cold geometry is pinned to the engine's
 			} else {
 				continue
 			}
@@ -323,10 +324,10 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 					continue
 				}
 				g := &v.entries[gslot]
-				if g.summary == nil || g.summary.M != repM {
+				if g.summary == nil {
 					continue
 				}
-				sim := bloom.JaccardPacked(repWords, g.words)
+				sim := bloom.JaccardPackedSparse(repWords, len(repBits), g.summary.Bits)
 				if sim < v.minScore {
 					continue
 				}
@@ -337,7 +338,7 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 			// Cold groupmates: scan the rep's band buckets on disk. gseen
 			// holds the hot members AppendQuery just collected, so each
 			// member scores once no matter which tier holds it.
-			if coldActive && repM == probeSparse.M {
+			if coldActive {
 				sc.gkeys, err = v.index.AppendBandKeys(sc.gkeys[:0], repBits)
 				if err != nil {
 					continue

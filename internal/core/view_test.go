@@ -439,8 +439,9 @@ func TestPublishedEpochAdvances(t *testing.T) {
 	}
 }
 
-// TestPackedWordsMatchSparse cross-checks the word-parallel scoring kernel
-// against the sparse merge on the real corpus summaries: identical integer
+// TestPackedWordsMatchSparse cross-checks the scoring kernel searchView
+// runs — stored positions tested against a probe's packed words — against
+// the sparse merge on the real corpus summaries: identical integer
 // cardinalities, hence identical float64 scores.
 func TestPackedWordsMatchSparse(t *testing.T) {
 	ds := testDatasetCached(t)
@@ -461,7 +462,7 @@ func TestPackedWordsMatchSparse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := bloom.JaccardPacked(a.words, b.words)
+		got := bloom.JaccardPackedSparse(a.summary.Packed(), len(a.summary.Bits), b.summary.Bits)
 		if got != want {
 			t.Fatalf("entry %d vs %d: packed %v, sparse %v", i, (i*13+1)%len(entries), got, want)
 		}
