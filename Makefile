@@ -26,10 +26,14 @@ race:
 	$(GO) test -race -short -timeout=45m ./internal/...
 
 # The engine counts storage work; internal/experiments models it. No device
-# model may appear in internal/core's non-test code.
+# model may appear in internal/core's non-test code. Publishing a view is
+# the only step that advances the index epoch: no internal/core non-test
+# code outside view.go may write it.
+EPOCH_WRITE := \.epoch(\.(Add|Store|Swap|CompareAndSwap)\(|[[:space:]]*(\+\+|--|[-+*/|&^]?=([^=]|$$)))
 vet:
 	$(GO) vet ./...
 	@! grep -rnE 'store\.(DiskModel|RAM|SSD|HDD7200)\b' internal/core --include='*.go' --exclude='*_test.go'
+	@! grep -rnE '$(EPOCH_WRITE)' internal/core --include='*.go' --exclude='*_test.go' --exclude='view.go'
 
 # Bench smoke: one iteration of every benchmark proves the measurement
 # harness still compiles and runs; it is not a performance gate.

@@ -2,8 +2,9 @@
 // as "a system middleware that can run on existing systems ... by using the
 // general file system interface"; this example exercises that lifecycle:
 // build an index, persist it through the file system, restore it in a fresh
-// process state, keep serving queries, and apply retention (deletion +
-// compaction) — all without re-extracting a single feature.
+// process state, keep serving queries, and apply retention (deletion, with
+// the freed slots reclaimed as it goes) — all without re-extracting a single
+// feature.
 //
 //	go run ./examples/middleware
 package main
@@ -96,15 +97,12 @@ func main() {
 			i+1, len(res), hits, time.Since(t2).Round(time.Microsecond))
 	}
 
-	// 4. Retention: the oldest 30 photos age out; compaction reclaims the
-	//    tombstones.
+	// 4. Retention: the oldest 30 photos age out. The engine reclaims the
+	//    slots they leave once dead slots outnumber live ones.
 	for _, p := range ds.Photos[:30] {
 		if err := restored.Delete(p.ID); err != nil {
 			log.Fatalf("delete: %v", err)
 		}
-	}
-	if err := restored.Compact(); err != nil {
-		log.Fatalf("compact: %v", err)
 	}
 	fmt.Printf("\nretention removed 30 photos; index now %d photos, %.1f KB resident\n",
 		restored.Len(), float64(restored.IndexBytes())/1024)

@@ -9,10 +9,10 @@
 //     is a pure function of the pixels (for a fixed trained basis), so
 //     entries never invalidate; a hit skips FE+SM — >99% of per-probe query
 //     cost — entirely.
-//   - T2, the result cache: (summary fingerprint, topK, engine epoch) →
-//     ranked results. Every index mutation bumps the epoch, which is part
-//     of the key, so a stale entry can never be served: it simply stops
-//     being addressable and ages out of the LRU.
+//   - T2, the result cache: (summary fingerprint, topK, view epoch) →
+//     ranked results. Every index mutation publishes a view under a new
+//     epoch, which is part of the key, so a stale entry can never be
+//     served: it simply stops being addressable and ages out of the LRU.
 //
 // The cache itself knows nothing about either policy — it stores what it
 // is given under the key it is given, bounded by capacity, and guarantees
@@ -179,33 +179,6 @@ func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (v V, hit bool, err
 		s.addLocked(k, cl.val)
 		s.mu.Unlock()
 	}
-	return cl.val, false, cl.err
-}
-
-// Do runs fn under singleflight for k without consulting or populating the
-// cache: concurrent callers with the same key share one execution. It
-// exists for computations that store themselves under a different (more
-// precise) key than the one they were looked up by — the engine's result
-// tier does this when the epoch advances between lookup and compute.
-// shared reports whether this caller piggybacked on another's execution.
-func (c *Cache[V]) Do(k Key, fn func() (V, error)) (v V, shared bool, err error) {
-	if c == nil {
-		v, err = fn()
-		return v, false, err
-	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	if cl, ok := s.inflight[k]; ok {
-		s.waits++
-		s.mu.Unlock()
-		<-cl.done
-		return cl.val, true, cl.err
-	}
-	cl := &call[V]{done: make(chan struct{})}
-	s.inflight[k] = cl
-	s.mu.Unlock()
-
-	s.lead(k, cl, fn)
 	return cl.val, false, cl.err
 }
 

@@ -134,18 +134,6 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 }
 
-// TestDoSharesButDoesNotStore checks the store-less singleflight variant.
-func TestDoSharesButDoesNotStore(t *testing.T) {
-	c := New[int](16)
-	v, shared, err := c.Do(key(3), func() (int, error) { return 5, nil })
-	if err != nil || shared || v != 5 {
-		t.Fatalf("Do = %d, shared=%v, err=%v", v, shared, err)
-	}
-	if _, ok := c.Get(key(3)); ok {
-		t.Fatal("Do stored its result; it must not")
-	}
-}
-
 // TestLeaderPanicReleasesWaiters ensures a panicking compute does not
 // strand singleflight waiters or leak the in-flight slot.
 func TestLeaderPanicReleasesWaiters(t *testing.T) {

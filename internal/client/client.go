@@ -160,14 +160,32 @@ func (c *Client) do(ctx context.Context, method, path string, payload []byte, co
 }
 
 // decodeError turns a non-2xx reply into an error carrying the server's
-// message when it sent one.
+// message when it sent one. It wraps the typed engine error the reply's
+// code names, so errors.Is(err, core.ErrNotIndexed) holds across the wire.
 func decodeError(resp *http.Response) error {
 	var er server.ErrorResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er); err == nil && er.Error != "" {
-		return fmt.Errorf("client: server returned %d: %s", resp.StatusCode, er.Error)
+		return &serverError{status: resp.StatusCode, msg: er.Error, typed: server.CodeError(er.Code)}
 	}
-	return fmt.Errorf("client: server returned %d", resp.StatusCode)
+	return &serverError{status: resp.StatusCode}
 }
+
+// serverError is a non-2xx reply. It unwraps to the typed engine error its
+// code named, if any.
+type serverError struct {
+	status int
+	msg    string
+	typed  error
+}
+
+func (e *serverError) Error() string {
+	if e.msg == "" {
+		return fmt.Sprintf("client: server returned %d", e.status)
+	}
+	return fmt.Sprintf("client: server returned %d: %s", e.status, e.msg)
+}
+
+func (e *serverError) Unwrap() error { return e.typed }
 
 func marshalJSON(v interface{}) ([]byte, error) {
 	b, err := json.Marshal(v)

@@ -61,7 +61,6 @@ type Cluster struct {
 	cfg   Config
 	nodes []*Node
 	ring  *placement.Ring
-	down  map[int]bool // failure injection; see failure.go
 }
 
 // New builds a cluster. It returns an error for non-positive sizes.

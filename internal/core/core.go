@@ -134,10 +134,10 @@ type Config struct {
 	// throughput knob for workloads that repeat probes.
 	SummaryCache int
 	// ResultCache bounds the ranked-result tier (T2): up to this many
-	// result lists keyed by (summary fingerprint, topK, engine epoch).
-	// Every mutation bumps the epoch, so entries from older index states
-	// stop being addressable and can never be served stale. 0 disables the
-	// tier. Like SummaryCache, answers are byte-identical either way.
+	// result lists keyed by (summary fingerprint, topK, view epoch). Every
+	// mutation publishes a view under a new epoch, so entries from older
+	// index states stop being addressable and can never be served stale. 0
+	// disables the tier. Like SummaryCache, answers are byte-identical either way.
 	ResultCache int
 }
 
@@ -193,13 +193,12 @@ type Engine struct {
 	accesses    atomic.Int64
 	accessBytes atomic.Int64
 
-	// The tiered read-path cache (see querycache.go). epoch versions the
-	// index contents: every mutation bumps it under the write lock, and the
-	// result tier keys on it, so an entry computed against an older index
-	// state is unreachable the instant the state changes. The cache
-	// pointers are atomic so ConfigureCache can swap tiers in and out while
-	// queries run.
-	epoch       atomic.Uint64
+	// epoch counts published views; publishLocked is its only writer and
+	// stamps it on the view it publishes. Guarded by mu. The result tier of
+	// the read-path cache (see querycache.go) keys on the view's epoch. The
+	// cache pointers are atomic so ConfigureCache can swap tiers in and out
+	// while queries run.
+	epoch       uint64
 	sumCache    atomic.Pointer[cache.Cache[*bloom.Sparse]]
 	resCache    atomic.Pointer[cache.Cache[[]SearchResult]]
 	sumCacheCap atomic.Int64 // configured T1 bound (0 = disabled)
@@ -236,39 +235,30 @@ func (e *Engine) Name() string { return "FAST" }
 // SummaryTime sum the per-photo stage costs across workers (CPU work, not
 // wall time). It implements Pipeline.
 func (e *Engine) Build(photos []*simimg.Photo) (BuildStats, error) {
-	var st BuildStats
 	if len(photos) == 0 {
-		return st, errors.New("core: empty corpus")
+		return BuildStats{}, errors.New("core: empty corpus")
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
 	if err := e.trainLocked(photos); err != nil {
-		return st, err
+		return BuildStats{}, err
 	}
 	if err := e.allocLocked(len(photos)); err != nil {
-		return st, err
+		return BuildStats{}, err
 	}
 	// The retrained basis invalidates every memoized summary (T1 entries are
-	// pure functions of pixels only under a fixed basis), and the fresh index
-	// invalidates every cached result; drop both tiers and advance the epoch.
-	e.resetCaches()
+	// pure functions of pixels only under a fixed basis). Results of the old
+	// index are keyed by older view epochs and can never be served again,
+	// but they would only take up room. Drop both tiers.
+	e.ConfigureCache(e.CacheConfig())
 
-	pca := e.pcasift
-	err := runIngest(photos, e.cfg.IngestWorkers,
-		func(img *simimg.Image) (prepared, error) { return e.prepareRecovering(pca, img) },
-		func(i int, pr prepared) error {
-			t0 := time.Now()
-			if err := e.storeLocked(photos[i].ID, pr.sparse); err != nil {
-				return fmt.Errorf("core: indexing photo %d: %w", photos[i].ID, err)
-			}
-			st.IndexTime += time.Since(t0)
-			st.Photos++
-			st.Descriptors += pr.descs
-			st.FeatureTime += pr.featureTime
-			st.SummaryTime += pr.summaryTime
-			return nil
-		})
+	st, err := e.runIngest(e.pcasift, photos, e.cfg.IngestWorkers, func(id uint64, sp *bloom.Sparse) error {
+		if err := e.storeLocked(id, sp); err != nil {
+			return fmt.Errorf("core: indexing photo %d: %w", id, err)
+		}
+		return nil
+	})
 	// Publish once: queries answer from the previous view for the whole
 	// build and switch to the complete new index in one step (on error the
 	// partially built state is published, so the view matches the live
@@ -277,33 +267,12 @@ func (e *Engine) Build(photos []*simimg.Photo) (BuildStats, error) {
 	return st, err
 }
 
-// Insert adds one photo to a built index. It implements Pipeline.
-//
-// Feature extraction and summarization — the expensive, read-only front
-// half of the pipeline — run outside the engine lock, so concurrent inserts
-// only serialize on the short SA+CHS store step and queries keep flowing
-// while new photos are being prepared.
+// Insert adds one photo to a built index. It implements Pipeline. It is
+// InsertBatch of that one photo: FE+SM runs inline with no engine lock held,
+// and only the SA+CHS store step takes the write lock.
 func (e *Engine) Insert(p *simimg.Photo) error {
-	e.mu.RLock()
-	pca := e.pcasift
-	e.mu.RUnlock()
-	if pca == nil {
-		return errors.New("core: engine not built")
-	}
-	pr, err := e.prepareSummary(pca, p.Img)
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.pcasift == nil {
-		return errors.New("core: engine not built")
-	}
-	if err := e.storeLocked(p.ID, pr.sparse); err != nil {
-		return err
-	}
-	e.publishLocked()
-	return nil
+	_, err := e.InsertBatch([]*simimg.Photo{p}, 1)
+	return err
 }
 
 // prepared is the output of the FE+SM front half for one photo: everything
@@ -317,8 +286,8 @@ type prepared struct {
 }
 
 // prepareSummary runs FE+SM for one image against the given trained basis.
-// It is the single implementation of the pipeline's read-only front half —
-// Insert, Build and InsertBatch all go through it. It reads
+// It is the single implementation of the pipeline's read-only front half:
+// Build and InsertBatch (and so Insert) go through it. It reads
 // no mutable engine state, so callers may run it without holding the engine
 // lock, from any number of goroutines.
 func (e *Engine) prepareSummary(pca *feature.PCASIFT, img *simimg.Image) (prepared, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -212,8 +213,8 @@ func TestInsertAfterBuild(t *testing.T) {
 		t.Errorf("Len = %d after insert", e.Len())
 	}
 	// Duplicate IDs rejected.
-	if err := e.Insert(p); err == nil {
-		t.Error("duplicate insert should fail")
+	if err := e.Insert(p); !errors.Is(err, ErrAlreadyIndexed) {
+		t.Errorf("duplicate insert: %v, want ErrAlreadyIndexed", err)
 	}
 	// The new photo is findable via near-duplicate probes. LSH recall is
 	// probabilistic per probe, so try a few independent probes and require

@@ -1,67 +1,52 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
-	"github.com/fastrepro/fast/internal/cuckoo"
 	"github.com/fastrepro/fast/internal/lsh"
 )
 
+// ErrNotIndexed is wrapped by a Delete of a photo id the engine holds in
+// neither tier.
+var ErrNotIndexed = errors.New("core: photo not indexed")
+
 // Delete removes a photo from the index: its LSH references, its flat-table
-// slot and its summary. The entries slice keeps a tombstone (nil summary)
-// so other slots stay valid; tombstones are reclaimed on the next Build.
-// It returns an error if the photo is not indexed.
+// slot and its summary (see removeHotLocked), or its cold-tier record. It
+// returns an error wrapping ErrNotIndexed if the photo is not indexed.
 func (e *Engine) Delete(id uint64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.index == nil {
 		return fmt.Errorf("core: engine not built")
 	}
-	slot, ok := e.slotLocked(id)
-	if !ok {
-		// Not resident: the photo may have been migrated to the cold tier,
-		// where deletion is a durable catalog tombstone (the record itself
-		// lingers on disk until the compactor folds it away).
-		if e.cold != nil {
-			deleted, err := e.cold.Delete(id)
-			if err != nil {
-				return fmt.Errorf("core: deleting cold photo %d: %w", id, err)
-			}
-			if deleted {
-				e.epoch.Add(1)
-				e.publishLocked()
-				return nil
+	if _, ok := e.slotLocked(id); ok {
+		err := e.removeHotLocked([]uint64{id})
+		// Dual residency (a migration interrupted between its cold publish
+		// and hot removal) must not resurrect the photo: tombstone the cold
+		// copy too.
+		if err == nil && e.cold != nil && e.cold.Contains(id) {
+			if _, cerr := e.cold.Delete(id); cerr != nil {
+				err = fmt.Errorf("core: deleting cold copy of photo %d: %w", id, cerr)
 			}
 		}
-		return fmt.Errorf("core: photo %d not indexed", id)
+		e.publishLocked()
+		return err
 	}
-	sp := e.entries[slot].summary
-	if sp != nil && len(sp.Bits) > 0 {
-		if _, err := e.index.Delete(lsh.ItemID(id), sp.Bits); err != nil {
-			return fmt.Errorf("core: removing LSH references: %w", err)
+	// Not resident: the photo may have been migrated to the cold tier, where
+	// deletion is a durable catalog tombstone (the record itself lingers on
+	// disk until the compactor folds it away).
+	if e.cold != nil {
+		deleted, err := e.cold.Delete(id)
+		if err != nil {
+			return fmt.Errorf("core: deleting cold photo %d: %w", id, err)
+		}
+		if deleted {
+			e.publishLocked()
+			return nil
 		}
 	}
-	if !e.table.Delete(id) {
-		return fmt.Errorf("core: photo %d missing from flat table (index corrupt)", id)
-	}
-	// Tombstone copy-on-write: the entries backing array is shared with
-	// published read views, so the slot must not be cleared in place under a
-	// concurrent query. Appends extend the shared array safely (they write
-	// past every published length); overwrites copy.
-	next := make([]entry, len(e.entries), cap(e.entries))
-	copy(next, e.entries)
-	next[slot] = entry{} // tombstone
-	e.entries = next
-	// Dual residency (a migration interrupted between its cold publish and
-	// hot removal) must not resurrect the photo: tombstone the cold copy too.
-	if e.cold != nil && e.cold.Contains(id) {
-		if _, err := e.cold.Delete(id); err != nil {
-			return fmt.Errorf("core: deleting cold copy of photo %d: %w", id, err)
-		}
-	}
-	e.epoch.Add(1) // retire result-cache entries computed before the delete
-	e.publishLocked()
-	return nil
+	return fmt.Errorf("core: deleting photo %d: %w", id, ErrNotIndexed)
 }
 
 // Contains reports whether a photo is currently indexed in either tier.
@@ -74,38 +59,57 @@ func (e *Engine) Contains(id uint64) bool {
 	return e.cold != nil && e.cold.Contains(id)
 }
 
-// Compact rebuilds the entry storage without deletion tombstones, shrinking
-// the per-entry slice and refreshing the flat table. Long-running
-// deployments call it after bulk deletions; queries and inserts work
-// identically before and after.
-func (e *Engine) Compact() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.table == nil {
-		return fmt.Errorf("core: engine not built")
+// removeHotLocked is the one way out of the hot tier: it drops the
+// RAM-resident ids among ids from the LSH index, the flat table and the
+// entry storage, leaving a tombstone (zero entry) in each freed slot so the
+// other slots stay valid. Delete and MigrateCold remove through it, and so
+// does the cold tier's reconciliation on attach. Callers publish afterwards,
+// on error too: a failed removal may have applied a prefix of ids.
+//
+// The entry slice is shared with published read views, so a slot is never
+// cleared in place under a concurrent query: the removal works on a copy.
+// When dead slots outnumber live entries, the tombstones are reclaimed: the
+// entry slice is rebuilt from the live entries in slot order (so migration
+// still takes the oldest first) and the flat table is rebuilt at its
+// current capacity. The LSH index holds ids, not slots, and is untouched.
+// A rebuild the table refuses keeps the tombstoned structures, which
+// answer the same; the next removal tries again.
+func (e *Engine) removeHotLocked(ids []uint64) error {
+	next := make([]entry, len(e.entries), cap(e.entries))
+	copy(next, e.entries)
+	defer func() { e.entries = next }() // on error too: keep what was removed
+	for i, r := range e.table.LookupBatch(ids, 1) {
+		if !r.Found {
+			continue
+		}
+		id := ids[i]
+		if sp := next[r.Value].summary; sp != nil && len(sp.Bits) > 0 {
+			if _, err := e.index.Delete(lsh.ItemID(id), sp.Bits); err != nil {
+				return fmt.Errorf("core: removing LSH references of photo %d: %w", id, err)
+			}
+		}
+		if !e.table.Delete(id) {
+			return fmt.Errorf("core: photo %d missing from flat table (index corrupt)", id)
+		}
+		next[r.Value] = entry{}
 	}
-	live := make([]entry, 0, e.table.Len())
-	for _, ent := range e.entries {
+
+	live := e.table.Len()
+	if len(next)-live <= live {
+		return nil
+	}
+	kept := make([]entry, 0, live)
+	for _, ent := range next {
 		if ent.summary != nil {
-			live = append(live, ent)
+			kept = append(kept, ent)
 		}
 	}
-	capacity := e.cfg.TableCapacity
-	if capacity == 0 {
-		capacity = e.table.Cap() // keep the existing size
+	table, err := e.newTable(e.table.Cap())
+	for slot := 0; err == nil && slot < len(kept); slot++ {
+		err = table.Insert(kept[slot].id, uint64(slot))
 	}
-	table, err := cuckoo.NewFlat(capacity, e.cfg.Neighborhood, 0, 12345)
-	if err != nil {
-		return err
+	if err == nil {
+		next, e.table = kept, table
 	}
-	for slot, ent := range live {
-		if err := table.Insert(ent.id, uint64(slot)); err != nil {
-			return fmt.Errorf("core: compacting entry %d: %w", ent.id, err)
-		}
-	}
-	e.entries = live
-	e.table = table
-	e.epoch.Add(1) // entry slots moved; cached results must not outlive them
-	e.publishLocked()
 	return nil
 }

@@ -24,11 +24,12 @@ import (
 // ring:
 //
 //   - a pool of workers claims photo indexes from an atomic counter and runs
-//     the read-only FE+SM front half (prepareSummary) concurrently;
+//     the read-only FE+SM front half (prepareRecovering) concurrently;
 //   - the calling goroutine is the committer: it consumes prepared results
-//     in strict input order and runs the short SA+CHS store step, so index
-//     contents, entry slots and error positions are byte-identical to the
-//     sequential path at every worker count.
+//     in strict input order, runs the caller's short SA+CHS store step and
+//     adds the photo to the BuildStats, so index contents, entry slots,
+//     error positions and counters are byte-identical to the sequential
+//     path at every worker count.
 //
 // The ring holds at most window = 4*workers in-flight summaries: workers
 // acquire a token before claiming an index and the committer returns the
@@ -43,15 +44,28 @@ type ingestSlot struct {
 	err error
 }
 
-// runIngest streams every photo through prep on a worker pool and hands the
-// results to commit in strict input order on the calling goroutine.
-// workers <= 0 means GOMAXPROCS; one worker runs fully inline. commit sees
-// the first in-order error (prep or commit) and nothing after it; photos
-// before the failing index are already committed when it returns.
-func runIngest(photos []*simimg.Photo, workers int,
-	prep func(*simimg.Image) (prepared, error),
-	commit func(int, prepared) error) error {
+// runIngest runs FE+SM for every photo against pca on a worker pool and
+// hands each summary to store in strict input order on the calling
+// goroutine. workers <= 0 means GOMAXPROCS; one worker runs fully inline.
+// store sees the first in-order error (prep or store) and nothing after it;
+// photos before the failing index are already stored when it returns, and
+// the returned BuildStats counts exactly them.
+func (e *Engine) runIngest(pca *feature.PCASIFT, photos []*simimg.Photo, workers int,
+	store func(id uint64, sp *bloom.Sparse) error) (BuildStats, error) {
 
+	var st BuildStats
+	commit := func(i int, pr prepared) error {
+		t0 := time.Now()
+		if err := store(photos[i].ID, pr.sparse); err != nil {
+			return err
+		}
+		st.IndexTime += time.Since(t0)
+		st.Photos++
+		st.Descriptors += pr.descs
+		st.FeatureTime += pr.featureTime
+		st.SummaryTime += pr.summaryTime
+		return nil
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -60,15 +74,15 @@ func runIngest(photos []*simimg.Photo, workers int,
 	}
 	if workers <= 1 {
 		for i, p := range photos {
-			pr, err := prep(p.Img)
+			pr, err := e.prepareRecovering(pca, p.Img)
 			if err != nil {
-				return fmt.Errorf("core: preparing photo %d: %w", p.ID, err)
+				return st, fmt.Errorf("core: preparing photo %d: %w", p.ID, err)
 			}
 			if err := commit(i, pr); err != nil {
-				return err
+				return st, err
 			}
 		}
-		return nil
+		return st, nil
 	}
 
 	window := 4 * workers
@@ -104,7 +118,7 @@ func runIngest(photos []*simimg.Photo, workers int,
 					slots[i%window] <- ingestSlot{}
 					continue
 				}
-				pr, err := prep(photos[i].Img)
+				pr, err := e.prepareRecovering(pca, photos[i].Img)
 				slots[i%window] <- ingestSlot{pr: pr, err: err}
 			}
 		}()
@@ -128,7 +142,7 @@ func runIngest(photos []*simimg.Photo, workers int,
 		tokens <- struct{}{}
 	}
 	wg.Wait()
-	return firstErr
+	return st, firstErr
 }
 
 // InsertBatch adds many photos to a built index through the staged ingest
@@ -141,43 +155,29 @@ func runIngest(photos []*simimg.Photo, workers int,
 // inserted and stays inserted, and the returned BuildStats counts only the
 // committed prefix.
 func (e *Engine) InsertBatch(photos []*simimg.Photo, workers int) (BuildStats, error) {
-	var st BuildStats
 	if len(photos) == 0 {
-		return st, nil
+		return BuildStats{}, nil
 	}
 	e.mu.RLock()
 	pca := e.pcasift
 	e.mu.RUnlock()
 	if pca == nil {
-		return st, errors.New("core: engine not built")
+		return BuildStats{}, errors.New("core: engine not built")
 	}
-
-	err := runIngest(photos, workers,
-		func(img *simimg.Image) (prepared, error) { return e.prepareRecovering(pca, img) },
-		func(i int, pr prepared) error {
-			t0 := time.Now()
-			e.mu.Lock()
-			err := e.storeLocked(photos[i].ID, pr.sparse)
-			if err == nil {
-				e.publishLocked()
-			}
-			e.mu.Unlock()
-			if err != nil {
-				return fmt.Errorf("core: inserting photo %d: %w", photos[i].ID, err)
-			}
-			st.IndexTime += time.Since(t0)
-			st.Photos++
-			st.Descriptors += pr.descs
-			st.FeatureTime += pr.featureTime
-			st.SummaryTime += pr.summaryTime
-			return nil
-		})
-	return st, err
+	return e.runIngest(pca, photos, workers, func(id uint64, sp *bloom.Sparse) error {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if err := e.storeLocked(id, sp); err != nil {
+			return fmt.Errorf("core: inserting photo %d: %w", id, err)
+		}
+		e.publishLocked()
+		return nil
+	})
 }
 
 // prepareRecovering runs the read-only FE+SM stage for one photo,
 // converting a panic (e.g. from a malformed image that slipped past
-// upstream validation) into that photo's error. The stage runs on ingest
+// upstream validation) into that photo's error. The stage may run on ingest
 // worker goroutines where an unwinding panic has no caller to contain it
 // and would take down the process instead of failing one photo.
 func (e *Engine) prepareRecovering(pca *feature.PCASIFT, img *simimg.Image) (pr prepared, err error) {
@@ -226,7 +226,7 @@ func (e *Engine) allocLocked(n int) error {
 	if err != nil {
 		return fmt.Errorf("core: building LSH index: %w", err)
 	}
-	e.table, err = cuckoo.NewFlat(capacity, e.cfg.Neighborhood, 0, 12345)
+	e.table, err = e.newTable(capacity)
 	if err != nil {
 		return fmt.Errorf("core: building cuckoo table: %w", err)
 	}
@@ -237,13 +237,25 @@ func (e *Engine) allocLocked(n int) error {
 	return nil
 }
 
-// storeLocked runs SA+CHS for a prepared summary: LSH insertion of the
-// sparse summary's set-bit positions (images with no detectable features
-// produce empty summaries; they are stored in the flat table but cannot be
-// aggregated semantically), then flat cuckoo storage of the index record.
+// newTable is the engine's flat table geometry at the given capacity.
+func (e *Engine) newTable(capacity int) (*cuckoo.Flat, error) {
+	return cuckoo.NewFlat(capacity, e.cfg.Neighborhood, 0, 12345)
+}
+
+// ErrAlreadyIndexed is wrapped by every insert, restore and summary
+// adoption of a photo id the engine already holds in either tier.
+var ErrAlreadyIndexed = errors.New("core: photo already indexed")
+
+// storeLocked is the one way into the hot tier: SA+CHS for a prepared
+// summary, i.e. LSH insertion of the sparse summary's set-bit positions
+// (images with no detectable features produce empty summaries; they are
+// stored in the flat table but cannot be aggregated semantically), then
+// flat cuckoo storage of the index record. Build, InsertBatch (and so
+// Insert), InsertSummary and ReadEngine all store through it; callers
+// publish afterwards.
 func (e *Engine) storeLocked(id uint64, sparse *bloom.Sparse) error {
 	if _, dup := e.slotLocked(id); dup || (e.cold != nil && e.cold.Contains(id)) {
-		return fmt.Errorf("core: photo %d already indexed", id)
+		return ErrAlreadyIndexed
 	}
 	if len(sparse.Bits) > 0 {
 		if err := e.index.Insert(lsh.ItemID(id), sparse.Bits); err != nil {
@@ -262,7 +274,6 @@ func (e *Engine) storeLocked(id uint64, sparse *bloom.Sparse) error {
 		e.entries = e.entries[:slot]
 		return fmt.Errorf("flat table: %w", err)
 	}
-	e.epoch.Add(1) // retire result-cache entries computed before the insert
 	e.countAccesses(1, int64(sparse.SizeBytes()))
 	e.maybeKickColdLocked()
 	return nil

@@ -400,7 +400,6 @@ func readEntriesSection(br byteReader, cfg Config, pca *feature.PCASIFT) (*Engin
 		sp *bloom.Sparse
 	}
 	raw := make([]rawEntry, 0, min(int(count), 1<<16))
-	seen := make(map[uint64]struct{}, min(int(count), 1<<16))
 	for i := int64(0); i < count; i++ {
 		var id uint64
 		var m uint32
@@ -419,10 +418,6 @@ func readEntriesSection(br byteReader, cfg Config, pca *feature.PCASIFT) (*Engin
 		if nbits < 0 || uint32(nbits) > cfg.Summary.Bits {
 			return nil, fmt.Errorf("%w: entry %d has %d bits of %d", errBadSnapshot, i, nbits, cfg.Summary.Bits)
 		}
-		if _, dup := seen[id]; dup {
-			return nil, fmt.Errorf("%w: entry %d repeats photo id %d", errBadSnapshot, i, id)
-		}
-		seen[id] = struct{}{}
 		bitsData, err := readU32Chunked(br, int(nbits))
 		if err != nil {
 			return nil, fmt.Errorf("%w: entry %d bits: %v", errBadSnapshot, i, err)
@@ -441,16 +436,14 @@ func readEntriesSection(br byteReader, cfg Config, pca *feature.PCASIFT) (*Engin
 	if err := e.allocLocked(len(raw)); err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadSnapshot, err)
 	}
+	// The same store step as every insert; it also rejects a repeated id.
 	for i, re := range raw {
-		slot := len(e.entries)
-		e.entries = append(e.entries, entry{id: re.id, summary: re.sp})
-		if len(re.sp.Bits) > 0 {
-			if err := e.index.Insert(lsh.ItemID(re.id), re.sp.Bits); err != nil {
-				return nil, fmt.Errorf("%w: entry %d lsh insert: %v", errBadSnapshot, i, err)
-			}
-		}
-		if err := e.table.Insert(re.id, uint64(slot)); err != nil {
-			return nil, fmt.Errorf("core: restoring entry %d: %w", i, err)
+		err := e.storeLocked(re.id, re.sp)
+		switch {
+		case errors.Is(err, ErrAlreadyIndexed):
+			return nil, fmt.Errorf("%w: entry %d repeats photo id %d", errBadSnapshot, i, re.id)
+		case err != nil:
+			return nil, fmt.Errorf("%w: entry %d (photo %d): %v", errBadSnapshot, i, re.id, err)
 		}
 	}
 	// The restored engine is not shared yet, but queries may start the moment

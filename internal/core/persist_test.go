@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
-	"strings"
+	"fmt"
 	"testing"
 )
 
@@ -149,57 +149,37 @@ func TestDeleteValidation(t *testing.T) {
 	}
 	ds := testDataset(t)
 	e = builtEngine(t, ds)
-	if err := e.Delete(999_999_999); err == nil || !strings.Contains(err.Error(), "not indexed") {
+	if err := e.Delete(999_999_999); !errors.Is(err, ErrNotIndexed) {
 		t.Errorf("deleting unknown ID: %v", err)
 	}
 }
 
+// TestCompactAfterDeletes deletes three quarters of the corpus: the deletes
+// that leave dead slots outnumbering live entries reclaim the tombstones, so
+// the entry slots stay within twice the live count, answers match a rebuild
+// of the live set, and inserts keep working.
 func TestCompactAfterDeletes(t *testing.T) {
 	ds := testDataset(t)
 	e := builtEngine(t, ds)
-	for _, p := range ds.Photos[:10] {
+	n := len(ds.Photos)
+	for _, p := range ds.Photos[:3*n/4] {
 		if err := e.Delete(p.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
-	qs, _ := ds.Queries(4, 41)
-	var before [][]SearchResult
-	for _, q := range qs {
-		r, err := e.Query(q.Probe, 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before = append(before, r)
+	st := e.Stats()
+	if st.Photos != n-3*n/4 {
+		t.Fatalf("%d photos after deleting %d of %d", st.Photos, 3*n/4, n)
 	}
-	if err := e.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
+	if st.Entries > 2*st.Photos+1 {
+		t.Fatalf("%d entry slots for %d live photos: tombstones not reclaimed", st.Entries, st.Photos)
 	}
-	if e.Len() != len(ds.Photos)-10 {
-		t.Fatalf("Len = %d after compact", e.Len())
+	oracle := rebuildOracle(t, e)
+	for i := 0; i < 6; i++ {
+		img := ds.Photos[(i*17+90)%n].Img
+		assertViewMatchesRebuild(t, e, oracle, img, 40, fmt.Sprintf("after reclaim/probe %d", i))
 	}
-	for i, q := range qs {
-		after, err := e.Query(q.Probe, 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(after) != len(before[i]) {
-			t.Fatalf("query %d differs after compact: %d vs %d", i, len(after), len(before[i]))
-		}
-		for j := range after {
-			if after[j] != before[i][j] {
-				t.Fatalf("query %d result %d differs after compact", i, j)
-			}
-		}
-	}
-	// Inserts still work post-compact.
 	if err := e.Insert(ds.Photos[0]); err != nil {
-		t.Fatalf("insert after compact: %v", err)
-	}
-}
-
-func TestCompactUnbuilt(t *testing.T) {
-	e := NewEngine(Config{})
-	if err := e.Compact(); err == nil {
-		t.Error("compact on unbuilt engine should fail")
+		t.Fatalf("insert after reclaim: %v", err)
 	}
 }

@@ -21,10 +21,10 @@ import (
 //   - T1 (summary tier): raster fingerprint → sparse summary, the one form
 //     the search back half reads. Never invalidated by index mutations;
 //     only Build, which retrains the basis, resets it.
-//   - T2 (result tier): (summary fingerprint, topK, epoch) → ranked results.
-//     Every mutation bumps the epoch under the write lock; entries computed
-//     against older index states stop being addressable rather than being
-//     hunted down and purged.
+//   - T2 (result tier): (summary fingerprint, topK, view epoch) → ranked
+//     results. Every mutation publishes a new view, and publishLocked stamps
+//     each view with a fresh epoch; entries computed against older views
+//     stop being addressable rather than being hunted down and purged.
 //
 // The invariant both tiers preserve is byte-identical answers: a cache hit
 // returns exactly the slice an uncached query would have computed, at every
@@ -32,15 +32,12 @@ import (
 // sweeping cached engines against QueryUncached, the same search with both
 // tiers bypassed.
 //
-// Epoch discipline: the T2 lookup key uses the engine epoch read *before*
-// the search, but the computed result is stored under the epoch of the view
-// the search actually ran against (searchView reports it). If a mutation
-// slips in between, the result is filed under the state it actually saw and
-// the optimistic lookup key simply never gets an entry. A hit on a
-// concurrently-stale key is still linearizable — the mutation overlapped
-// the query, so answering from the pre-mutation state is a legal ordering —
-// and once the engine quiesces, a bumped epoch makes every old entry
-// unreachable.
+// Epoch discipline: a query loads the published view once, keys T2 on that
+// view's epoch and, on a miss, searches that same view. An epoch names
+// exactly one view, so a cached result is a pure function of its key: a hit
+// is exactly what searchView would compute against the view the query
+// loaded. A query that overlaps a mutation answers from the pre-mutation
+// view, which is a legal linearization.
 
 // ConfigureCache swaps in freshly-emptied cache tiers with the given entry
 // bounds (≤0 disables a tier). It is safe to call while queries run: the
@@ -74,17 +71,8 @@ func (e *Engine) CacheConfig() (summaryEntries, resultEntries int) {
 	return int(e.sumCacheCap.Load()), int(e.resCacheCap.Load())
 }
 
-// resetCaches discards every cached entry while keeping the configured
-// bounds, and bumps the epoch. Build calls it after retraining: T1 entries
-// are summaries under the old basis, and the epoch bump retires T2 entries
-// from the old index in the same stroke.
-func (e *Engine) resetCaches() {
-	e.epoch.Add(1)
-	e.ConfigureCache(e.CacheConfig())
-}
-
 // CacheStats is a point-in-time aggregate of both cache tiers plus the
-// current index epoch. Disabled tiers report zeroes.
+// epoch of the published view. Disabled tiers report zeroes.
 type CacheStats struct {
 	Summary cache.Stats
 	Result  cache.Stats
@@ -96,12 +84,9 @@ func (e *Engine) CacheStats() CacheStats {
 	return CacheStats{
 		Summary: e.sumCache.Load().Stats(),
 		Result:  e.resCache.Load().Stats(),
-		Epoch:   e.epoch.Load(),
+		Epoch:   e.PublishedEpoch(),
 	}
 }
-
-// Epoch returns the current index-mutation epoch.
-func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
 
 // probeSummary produces the sparse summary for a probe raster, through T1
 // when enabled, against the published view's basis — no engine lock. The T1
@@ -130,34 +115,26 @@ func (e *Engine) probeSummary(img *simimg.Image) (*bloom.Sparse, error) {
 	return ps, err
 }
 
-// searchCached runs the search back half through T2 when enabled. Hits and
-// computed results are both handed out as fresh copies so no caller can
-// mutate a cached slice.
+// searchCached runs the search back half on the published view, through
+// T2 when enabled. Hits and computed results are both handed out as fresh
+// copies so no caller can mutate a cached slice.
 func (e *Engine) searchCached(ps *bloom.Sparse, topK, workers int) ([]SearchResult, error) {
+	v := e.view.Load()
+	if v == nil {
+		return nil, errors.New("core: engine not built")
+	}
 	rc := e.resCache.Load()
 	if rc == nil {
-		out, _, err := e.searchView(ps, topK, workers)
-		return out, err
+		return e.searchView(v, ps, topK, workers)
 	}
-	base := cache.SummaryKey(ps.M, ps.K, ps.Bits)
-	if v, ok := rc.Get(base.Derive(uint64(topK), e.epoch.Load())); ok {
-		return append([]SearchResult(nil), v...), nil
-	}
-	// Miss: singleflight the computation per optimistic key, but store the
-	// result under the epoch the search actually observed (see the epoch
-	// discipline note above) — which is why this is Do+Add, not GetOrCompute.
-	v, _, err := rc.Do(base.Derive(uint64(topK), e.epoch.Load()), func() ([]SearchResult, error) {
-		out, epoch, err := e.searchView(ps, topK, workers)
-		if err != nil {
-			return nil, err
-		}
-		rc.Add(base.Derive(uint64(topK), epoch), out)
-		return out, nil
+	key := cache.SummaryKey(ps.M, ps.K, ps.Bits).Derive(uint64(topK), v.epoch)
+	res, _, err := rc.GetOrCompute(key, func() ([]SearchResult, error) {
+		return e.searchView(v, ps, topK, workers)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return append([]SearchResult(nil), v...), nil
+	return append([]SearchResult(nil), res...), nil
 }
 
 // QueryUncached answers a probe while bypassing both cache tiers: FE+SM
@@ -181,6 +158,5 @@ func (e *Engine) QueryUncached(img *simimg.Image, topK int) ([]SearchResult, err
 	if len(ps.Bits) == 0 {
 		return nil, nil
 	}
-	out, _, err := e.searchView(ps, topK, 1)
-	return out, err
+	return e.searchView(v, ps, topK, 1)
 }

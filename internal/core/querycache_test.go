@@ -95,14 +95,14 @@ func TestCacheEquivalenceAroundMutations(t *testing.T) {
 	}
 
 	verify("baseline")
-	warmEpoch := e.Epoch()
+	warmEpoch := e.PublishedEpoch()
 
 	// Insert a fresh photo into an already-warm cache.
 	fresh := ds.FreshPhoto(900001, 77)
 	if err := e.Insert(fresh); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	if e.Epoch() == warmEpoch {
+	if e.PublishedEpoch() == warmEpoch {
 		t.Fatal("Insert did not bump the epoch")
 	}
 	verify("after-insert")
@@ -114,11 +114,14 @@ func TestCacheEquivalenceAroundMutations(t *testing.T) {
 	}
 	verify("after-delete")
 
-	// Compact moves entry slots; stale cached results must not survive it.
-	if err := e.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
+	// A delete batch past the reclaim threshold moves entry slots; stale
+	// cached results must not survive it.
+	for _, p := range ds.Photos[1:70] {
+		if err := e.Delete(p.ID); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
 	}
-	verify("after-compact")
+	verify("after-reclaim")
 
 	// Rebuild retrains the basis: both tiers must reset.
 	preBuild := e.CacheStats()

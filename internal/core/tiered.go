@@ -39,7 +39,8 @@ import (
 //  3. failpoint tiered/migrate — a death here leaves the batch resident in
 //     BOTH tiers: queries dedup dual-resident ids in the meantime, and
 //     EnableColdTier reconciles at next open by finishing the hot removal;
-//  4. remove the batch from the hot structures, bump the epoch, republish.
+//  4. remove the batch from the hot structures (removeHotLocked) and
+//     republish.
 //
 // Deletes against cold entries become catalog tombstones; the background
 // compactor folds them away by rewriting the cold tier (CompactColdTier),
@@ -72,85 +73,58 @@ type TieredStats struct {
 func (e *Engine) EnableColdTier(dir string, watermark, batch int) ([]string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.index == nil {
-		return nil, errors.New("core: engine must be built before enabling the cold tier")
+	if err := e.canAttachColdLocked(); err != nil {
+		return nil, err
 	}
-	if e.cold != nil {
-		return nil, errors.New("core: cold tier already enabled")
-	}
-	if batch <= 0 {
-		batch = 256
-	}
-	cold, swept, err := tiered.Open(tiered.Options{
-		Dir:    dir,
-		M:      e.cfg.Summary.Bits,
-		K:      e.cfg.Summary.K,
-		Bands:  e.index.Params().Bands,
-		SeedFP: e.index.SeedFingerprint(),
-	})
+	cold, swept, err := tiered.Open(e.coldOptionsLocked(dir))
 	if err != nil {
 		return nil, err
 	}
-	e.cold = cold
-	e.coldWatermark, e.coldBatch = watermark, batch
-	e.reconcileColdLocked()
-	e.epoch.Add(1) // answers now cover the union corpus
-	e.publishLocked()
-	e.startCompactorLocked()
-	// A snapshot-bootstrapped hot tier may already be over the watermark:
-	// start draining now rather than waiting for the first insert.
-	e.maybeKickColdLocked()
-	return swept, nil
+	return swept, e.attachColdLocked(cold, watermark, batch)
 }
 
 // AdoptColdTier transfers old's cold tier to e — the snapshot-restore hot
 // swap: the restored engine takes over the open store (mappings and all, so
 // in-flight queries against old keep scanning valid memory) instead of
-// re-opening the directory. old's compactor is stopped first; e's starts
-// under the carried-over watermark and batch size. A no-op when old has no
-// cold tier.
+// re-opening the directory. e's compactor starts under old's watermark and
+// batch size, and old's has stopped when AdoptColdTier returns (once
+// detached, it can no longer migrate: its engine has no cold tier). A no-op
+// when old has no cold tier.
+//
+// Every check runs before anything moves: if e is unbuilt, already tiered
+// or of another geometry than the store, AdoptColdTier returns an error and
+// old keeps its cold tier and compactor. old is never republished, so its
+// in-flight and pre-swap queries keep their cold view. Lock order: e.mu
+// before old.mu.
 func (e *Engine) AdoptColdTier(old *Engine) error {
-	if old == nil {
-		return nil
-	}
-	old.mu.Lock()
-	cold := old.cold
-	stop, done := old.coldStop, old.coldDone
-	wm, batch := old.coldWatermark, old.coldBatch
-	old.cold = nil
-	old.coldStop, old.coldDone, old.coldKick = nil, nil, nil
-	old.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-	if cold == nil {
+	if old == nil || old == e {
 		return nil
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.index == nil {
-		cold.Close()
-		return errors.New("core: engine must be built before adopting a cold tier")
+	if err := e.canAttachColdLocked(); err != nil {
+		e.mu.Unlock()
+		return err
 	}
-	if e.cold != nil {
-		cold.Close()
-		return errors.New("core: cold tier already enabled")
+	old.mu.Lock()
+	if old.cold == nil {
+		old.mu.Unlock()
+		e.mu.Unlock()
+		return nil
 	}
-	if opts := cold.Options(); opts.M != e.cfg.Summary.Bits || opts.K != e.cfg.Summary.K ||
-		opts.Bands != e.index.Params().Bands || opts.SeedFP != e.index.SeedFingerprint() {
-		return fmt.Errorf("core: cold tier geometry does not match the restored engine")
+	opts := old.cold.Options()
+	if want := e.coldOptionsLocked(opts.Dir); opts.M != want.M || opts.K != want.K ||
+		opts.Bands != want.Bands || opts.SeedFP != want.SeedFP {
+		old.mu.Unlock()
+		e.mu.Unlock()
+		return errors.New("core: cold tier geometry does not match the restored engine")
 	}
-	e.cold = cold
-	e.coldWatermark, e.coldBatch = wm, batch
-	e.reconcileColdLocked()
-	e.epoch.Add(1)
-	e.publishLocked()
-	e.startCompactorLocked()
-	// A restored hot tier may exceed the watermark immediately (the
-	// snapshot's corpus is independent of the adopted tier's history).
-	e.maybeKickColdLocked()
-	return nil
+	wm, batch := old.coldWatermark, old.coldBatch
+	cold, stopOldCompactor := old.detachColdLocked()
+	old.mu.Unlock()
+	err := e.attachColdLocked(cold, wm, batch)
+	e.mu.Unlock()
+	stopOldCompactor()
+	return err
 }
 
 // CloseColdTier stops the compactor, detaches the cold tier and unmaps its
@@ -159,23 +133,75 @@ func (e *Engine) AdoptColdTier(old *Engine) error {
 // alone.
 func (e *Engine) CloseColdTier() error {
 	e.mu.Lock()
-	cold := e.cold
-	stop, done := e.coldStop, e.coldDone
-	e.cold = nil
-	e.coldStop, e.coldDone, e.coldKick = nil, nil, nil
+	cold, stopCompactor := e.detachColdLocked()
 	if cold != nil {
-		e.epoch.Add(1)
 		e.publishLocked()
 	}
 	e.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
+	stopCompactor()
 	if cold == nil {
 		return nil
 	}
 	return cold.Close()
+}
+
+// canAttachColdLocked reports why e cannot take a cold tier, if it cannot.
+func (e *Engine) canAttachColdLocked() error {
+	if e.index == nil {
+		return errors.New("core: engine must be built before enabling the cold tier")
+	}
+	if e.cold != nil {
+		return errors.New("core: cold tier already enabled")
+	}
+	return nil
+}
+
+// coldOptionsLocked is the cold-tier geometry e's summaries and band keys
+// need, at dir.
+func (e *Engine) coldOptionsLocked(dir string) tiered.Options {
+	return tiered.Options{
+		Dir:    dir,
+		M:      e.cfg.Summary.Bits,
+		K:      e.cfg.Summary.K,
+		Bands:  e.index.Params().Bands,
+		SeedFP: e.index.SeedFingerprint(),
+	}
+}
+
+// attachColdLocked is the one way a cold tier joins an engine, shared by
+// EnableColdTier and AdoptColdTier. It reconciles dual-resident ids,
+// publishes a view over the union corpus, starts the compactor under
+// watermark and batch (0 means 256), and kicks it at once: a
+// snapshot-bootstrapped or restored hot tier may already be over the
+// watermark. A reconciliation error is returned with the tier attached;
+// queries dedup the ids it left dual-resident.
+func (e *Engine) attachColdLocked(cold *tiered.Store, watermark, batch int) error {
+	if batch <= 0 {
+		batch = 256
+	}
+	e.cold = cold
+	e.coldWatermark, e.coldBatch = watermark, batch
+	err := e.reconcileColdLocked()
+	e.publishLocked()
+	e.startCompactorLocked()
+	e.maybeKickColdLocked()
+	return err
+}
+
+// detachColdLocked is the one way a cold tier leaves an engine, shared by
+// CloseColdTier and AdoptColdTier. It does not publish. The returned
+// function stops the compactor; call it without holding e.mu, which the
+// compactor takes.
+func (e *Engine) detachColdLocked() (*tiered.Store, func()) {
+	cold, stop, done := e.cold, e.coldStop, e.coldDone
+	e.cold = nil
+	e.coldStop, e.coldDone, e.coldKick = nil, nil, nil
+	return cold, func() {
+		if stop != nil {
+			close(stop)
+			<-done
+		}
+	}
 }
 
 // ColdStats returns the cold tier's counters (zero when disabled).
@@ -191,7 +217,7 @@ func (e *Engine) ColdStats() tiered.Stats {
 
 // reconcileColdLocked finishes interrupted migrations: any id the durable
 // cold catalog owns is removed from the hot structures.
-func (e *Engine) reconcileColdLocked() {
+func (e *Engine) reconcileColdLocked() error {
 	ids := e.cold.AppendIDs(nil)
 	dup := ids[:0]
 	for i, r := range e.table.LookupBatch(ids, 1) {
@@ -200,28 +226,12 @@ func (e *Engine) reconcileColdLocked() {
 		}
 	}
 	if len(dup) == 0 {
-		return
+		return nil
 	}
-	e.removeHotLocked(dup)
-}
-
-// removeHotLocked drops ids from the LSH index, the flat table and the entry
-// storage (copy-on-write tombstones, one pass). Callers republish.
-func (e *Engine) removeHotLocked(ids []uint64) {
-	next := make([]entry, len(e.entries), cap(e.entries))
-	copy(next, e.entries)
-	for i, r := range e.table.LookupBatch(ids, 1) {
-		if !r.Found {
-			continue
-		}
-		sp := next[r.Value].summary
-		if sp != nil && len(sp.Bits) > 0 {
-			e.index.Delete(lsh.ItemID(ids[i]), sp.Bits)
-		}
-		e.table.Delete(ids[i])
-		next[r.Value] = entry{}
+	if err := e.removeHotLocked(dup); err != nil {
+		return fmt.Errorf("core: reconciling the cold tier: %w", err)
 	}
-	e.entries = next
+	return nil
 }
 
 // startCompactorLocked launches the background compactor when a watermark
@@ -339,9 +349,11 @@ func (e *Engine) MigrateCold(max int) (int, error) {
 	if err := failpoint.Eval(failpoint.TieredMigrate); err != nil {
 		return 0, fmt.Errorf("core: finishing migration: %w", err)
 	}
-	e.removeHotLocked(ids)
-	e.epoch.Add(1)
+	err := e.removeHotLocked(ids)
 	e.publishLocked()
+	if err != nil {
+		return 0, fmt.Errorf("core: finishing migration: %w", err)
+	}
 	return len(batch), nil
 }
 
@@ -379,7 +391,6 @@ func (e *Engine) CompactColdTier() error {
 	if err := e.cold.ReplaceAll(batch); err != nil {
 		return err
 	}
-	e.epoch.Add(1) // conservative: cached results reference nothing stale, but cheap
 	e.publishLocked()
 	return nil
 }

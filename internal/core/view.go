@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sync"
 
 	"github.com/fastrepro/fast/internal/bloom"
@@ -18,15 +17,21 @@ import (
 //   - readView is an immutable snapshot of everything a query needs: the
 //     trained basis, an lsh.View, a cuckoo.View, and the entry slice.
 //     Nothing reachable from a published readView is ever written again.
-//   - Mutators (Insert, InsertBatch's committer, Delete, Compact, Build,
-//     migration, snapshot restore) serialize on Engine.mu, change the live
-//     SA/CHS structures, and call publishLocked, which snapshots both and
-//     publishes with a single atomic pointer store. The structures track
-//     which of their shards a mutation touched, so a point mutation
-//     re-copies one table shard and one shard per band and shares the rest
-//     with the previous view, while a replaced structure (Build, Compact,
-//     restore) has no previous snapshot and is copied whole. No mutator
-//     tells publishLocked what it changed.
+//   - Mutators serialize on Engine.mu and follow one protocol: every
+//     hot-tier change is one storeLocked (Build, InsertBatch and so Insert,
+//     InsertSummary, snapshot restore) or one removeHotLocked (Delete,
+//     migration, cold-tier reconciliation), and every mutation, cold-tier
+//     ones included, ends in one publishLocked. publishLocked snapshots
+//     the live SA/CHS structures and publishes them with a single atomic
+//     pointer store. The structures track which of their shards a
+//     mutation touched, so a point mutation re-copies one table shard and
+//     one shard per band and shares the rest with the previous view, while
+//     a replaced structure (Build, tombstone reclamation, restore) has no
+//     previous snapshot and is copied whole. No mutator tells
+//     publishLocked what it changed.
+//   - publishLocked is also the only code that advances the epoch: each
+//     published view carries a fresh one. The result cache keys on it, so
+//     an epoch names exactly one index state.
 //   - Queries load the pointer once and run entirely against that
 //     snapshot: no lock acquisition, no write to any shared structure, no
 //     waiting on ingest. A query overlapping a mutation answers from the
@@ -51,7 +56,7 @@ import (
 
 // readView is one immutable, atomically published index snapshot.
 type readView struct {
-	epoch    uint64           // index-mutation epoch this view materializes
+	epoch    uint64           // publication count of the engine; names this view
 	basisGen uint64           // retraining generation of pca (T1 cache keying)
 	pca      *feature.PCASIFT // trained basis (read-only)
 	index    *lsh.View        // SA snapshot
@@ -71,16 +76,18 @@ type readView struct {
 }
 
 // publishLocked snapshots the engine's mutable structures into the next
-// readView and publishes it. Callers hold e.mu (write) and call it after
-// every mutation, whatever the mutation was: the SA and CHS structures know
-// which of their shards changed since their last snapshot.
+// readView, stamps it with the next epoch and publishes it. Callers hold
+// e.mu (write) and call it after every mutation, whatever the mutation was:
+// the SA and CHS structures know which of their shards changed since their
+// last snapshot. It is the only writer of e.epoch.
 func (e *Engine) publishLocked() {
 	if e.pcasift == nil || e.index == nil || e.table == nil {
 		e.view.Store(nil)
 		return
 	}
+	e.epoch++
 	next := &readView{
-		epoch:    e.epoch.Load(),
+		epoch:    e.epoch,
 		basisGen: e.basisGen,
 		pca:      e.pcasift,
 		index:    e.index.Snapshot(),
@@ -97,8 +104,10 @@ func (e *Engine) publishLocked() {
 }
 
 // PublishedEpoch reports the epoch of the currently published read view
-// (0 before the first Build). The serving layer surfaces it in /v1/stats so
-// operators can watch the lock-free read path advance under ingest.
+// (0 before the first Build; a restored engine starts above 0). Every
+// mutation advances it. The serving layer surfaces it in /v1/stats and in
+// mutation acknowledgements, so operators and routers can watch the
+// lock-free read path advance under ingest.
 func (e *Engine) PublishedEpoch() uint64 {
 	if v := e.view.Load(); v != nil {
 		return v.epoch
@@ -133,13 +142,9 @@ type viewScratch struct {
 var viewScratchPool = sync.Pool{New: func() interface{} { return new(viewScratch) }}
 
 // searchView runs SA+CHS+ranking for a prepared probe summary against the
-// published view — no engine lock, no shared-state writes beyond the access
-// counters — and reports the epoch its answer is valid for.
-func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]SearchResult, uint64, error) {
-	v := e.view.Load()
-	if v == nil {
-		return nil, e.epoch.Load(), errors.New("core: engine not built")
-	}
+// view v — no engine lock, no shared-state writes beyond the access
+// counters.
+func (e *Engine) searchView(v *readView, probeSparse *bloom.Sparse, topK, workers int) ([]SearchResult, error) {
 
 	sc := viewScratchPool.Get().(*viewScratch)
 	putScratch := func() { viewScratchPool.Put(sc) }
@@ -155,14 +160,14 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 	sc.ids = ids
 	if err != nil {
 		putScratch()
-		return nil, v.epoch, err
+		return nil, err
 	}
 	// With a populated cold tier the probe may still hit spilled entries
 	// even when every hot bucket came up empty.
 	coldActive := v.cold != nil && v.cold.Len() > 0
 	if len(ids) == 0 && !coldActive {
 		putScratch()
-		return nil, v.epoch, nil
+		return nil, nil
 	}
 
 	sc.words = bloom.AppendPacked(sc.words, probeSparse.M, probeSparse.Bits)
@@ -235,7 +240,7 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 		sc.bandKeys, err = v.index.AppendBandKeys(sc.bandKeys[:0], probeSparse.Bits)
 		if err != nil {
 			putScratch()
-			return nil, v.epoch, err
+			return nil, err
 		}
 		if cap(sc.cwords) < len(probeWords) {
 			sc.cwords = make([]uint64, len(probeWords))
@@ -363,5 +368,5 @@ func (e *Engine) searchView(probeSparse *bloom.Sparse, topK, workers int) ([]Sea
 		sc.results = kept[:0]
 	}
 	putScratch()
-	return out, v.epoch, nil
+	return out, nil
 }

@@ -105,7 +105,7 @@ func (rt *Router) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := rt.Insert(r.Context(), req.ID, img); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "insert failed: %v", err)
+		writeJSON(w, http.StatusUnprocessableEntity, server.NewErrorResponse("insert failed", err))
 		return
 	}
 	writeJSON(w, http.StatusOK, server.OKResponse{OK: true})
@@ -117,7 +117,7 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := rt.Delete(r.Context(), req.ID); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "delete failed: %v", err)
+		writeJSON(w, http.StatusUnprocessableEntity, server.NewErrorResponse("delete failed", err))
 		return
 	}
 	writeJSON(w, http.StatusOK, server.OKResponse{OK: true})

@@ -650,12 +650,14 @@ func (rt *Router) Insert(ctx context.Context, id uint64, img *simimg.Image) erro
 }
 
 // Delete routes the deletion to the photo's owning replica set, one owner
-// synchronously and the owners after it async, like Insert. A "not
-// indexed" reply moves the synchronous leg to the next owner in
-// writeOwners order: between the shards' ring commit and the router's,
+// synchronously and the owners after it async, like Insert. A reply
+// wrapping core.ErrNotIndexed moves the synchronous leg to the next owner
+// in writeOwners order: between the shards' ring commit and the router's,
 // the current ring's primary may already have shed the photo while the
 // pending ring's owners still hold it. The delete fails only if every
-// owner says "not indexed"; any other error fails it at once.
+// owner says "not indexed"; any other error fails it at once. The signal
+// is typed (client.decodeError restores it from the wire code), never
+// matched on message text.
 func (rt *Router) Delete(ctx context.Context, id uint64) error {
 	owners := rt.writeOwners(id)
 	sctx, cancel := context.WithTimeout(ctx, rt.cfg.ShardTimeout)
@@ -672,7 +674,7 @@ func (rt *Router) Delete(ctx context.Context, id uint64) error {
 			return nil
 		}
 		err = fmt.Errorf("router: shard %d (owner of %d): %w", s, id, err)
-		if !strings.Contains(err.Error(), "not indexed") {
+		if !errors.Is(err, core.ErrNotIndexed) {
 			break
 		}
 	}
@@ -712,10 +714,11 @@ func (rt *Router) applyWorker(s int, q chan applyOp) {
 	}
 }
 
-// applyOne applies a replica mutation with bounded retries. "Already
-// indexed" (for inserts) and "not indexed" (for deletes) replies count as
-// convergence, not failure: a ring migration or an operator catch-up may
-// have landed the entry's state before the queue drained.
+// applyOne applies a replica mutation with bounded retries. Replies
+// wrapping core.ErrAlreadyIndexed (for inserts) and core.ErrNotIndexed (for
+// deletes) count as convergence, not failure: a ring migration or an
+// operator catch-up may have landed the entry's state before the queue
+// drained.
 func (rt *Router) applyOne(s int, op applyOp) {
 	h := &rt.health[s]
 	defer h.pending.Add(-1)
@@ -732,9 +735,8 @@ func (rt *Router) applyOne(s int, op applyOp) {
 		if err == nil {
 			break
 		}
-		msg := err.Error()
-		if (!op.del && strings.Contains(msg, "already indexed")) ||
-			(op.del && strings.Contains(msg, "not indexed")) {
+		if (!op.del && errors.Is(err, core.ErrAlreadyIndexed)) ||
+			(op.del && errors.Is(err, core.ErrNotIndexed)) {
 			err = nil
 			epoch = 0 // converged, but no fresh epoch to raise the floor with
 			break

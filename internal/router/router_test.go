@@ -3,13 +3,17 @@ package router
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/fastrepro/fast/internal/client"
 	"github.com/fastrepro/fast/internal/core"
 	"github.com/fastrepro/fast/internal/failpoint"
 	"github.com/fastrepro/fast/internal/placement"
@@ -769,5 +773,70 @@ func TestMergeTopKOrdering(t *testing.T) {
 	}
 	if got := MergeTopK(nil, 5); len(got) != 0 {
 		t.Fatalf("empty merge: %v", got)
+	}
+}
+
+// TestWriteConvergenceFollowsErrorCodes puts a shard behind HTTP that
+// refuses every mutation in its own words but with the wire code of the
+// typed engine error. The router must read the code, not the text: an
+// "already indexed" replica apply counts as converged, and a "not indexed"
+// primary hands the synchronous delete to the next owner.
+func TestWriteConvergenceFollowsErrorCodes(t *testing.T) {
+	ds := testCorpus(t)
+	eng := buildUnion(t, ds)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		code := "not_indexed"
+		if r.URL.Path == "/v1/insert" {
+			code = "already_indexed"
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusUnprocessableEntity)
+		json.NewEncoder(w).Encode(server.ErrorResponse{Error: "refused, in other words", Code: code})
+	}))
+	defer hs.Close()
+	ring, err := placement.New(placement.Config{Shards: 2, VNodes: 32, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := []Backend{&engineBackend{eng: eng}, NewClientBackend(client.New(hs.URL, client.WithHTTPClient(hs.Client())))}
+	rt, err := New(Config{Shards: shards, Ring: ring, Replicas: 2, Policy: ReadPrimary, ShardTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ctx := context.Background()
+
+	// An insert whose primary is the engine shard: the HTTP replica's
+	// apply is refused as already indexed, which is convergence.
+	id := uint64(600_000)
+	for ring.Owners(id, 2)[0] != 0 {
+		id++
+	}
+	if err := rt.Insert(ctx, id, ds.FreshPhoto(id, 3).Img); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	qctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := rt.QuiesceReplicas(qctx); err != nil {
+		t.Fatalf("quiesce: %v", err)
+	}
+	if st := rt.Stats(ctx); st.AsyncErrors != 0 {
+		t.Fatalf("an already-indexed apply counted as %d async errors", st.AsyncErrors)
+	}
+
+	// A delete whose primary is the HTTP shard: its not-indexed refusal
+	// moves the synchronous leg on to the engine shard.
+	var victim uint64
+	for _, p := range ds.Photos {
+		if ring.Owners(p.ID, 2)[0] == 1 {
+			victim = p.ID
+			break
+		}
+	}
+	if err := rt.Delete(ctx, victim); err != nil {
+		t.Fatalf("Delete %d: %v", victim, err)
+	}
+	if eng.Contains(victim) {
+		t.Fatalf("photo %d still indexed on the second owner", victim)
 	}
 }

@@ -327,7 +327,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.met.insertErrors.Inc()
-		writeError(w, http.StatusUnprocessableEntity, "insert failed: %v", err)
+		writeJSON(w, http.StatusUnprocessableEntity, NewErrorResponse("insert failed", err))
 		return
 	}
 	s.met.inserts.Inc()
@@ -344,7 +344,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release()
 	if err := s.Engine().Delete(req.ID); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "delete failed: %v", err)
+		writeJSON(w, http.StatusUnprocessableEntity, NewErrorResponse("delete failed", err))
 		return
 	}
 	s.met.deletes.Inc()

@@ -17,6 +17,7 @@ import (
 	"github.com/fastrepro/fast/internal/client"
 	"github.com/fastrepro/fast/internal/core"
 	"github.com/fastrepro/fast/internal/failpoint"
+	"github.com/fastrepro/fast/internal/lsh"
 	"github.com/fastrepro/fast/internal/server"
 	"github.com/fastrepro/fast/internal/simimg"
 	"github.com/fastrepro/fast/internal/store"
@@ -899,5 +900,78 @@ func TestSnapshotSaveEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("store-less save status %d, want 501", resp2.StatusCode)
+	}
+}
+
+// TestRefusedRestoreKeepsTheColdTier restores a snapshot whose LSH
+// geometry differs from the served engine's cold tier. The restore must be
+// refused with 400, and the served engine must keep both tiers: after a
+// further insert a migrated photo is still found and the cold entry count
+// is unchanged.
+func TestRefusedRestoreKeepsTheColdTier(t *testing.T) {
+	eng, ds := baseEngine(t)
+	if _, err := eng.EnableColdTier(t.TempDir(), 0, 0); err != nil {
+		t.Fatalf("EnableColdTier: %v", err)
+	}
+	if _, err := eng.MigrateCold(len(ds.Photos) / 2); err != nil {
+		t.Fatalf("MigrateCold: %v", err)
+	}
+	var migrated *simimg.Photo
+	for _, p := range ds.Photos {
+		if _, hot := eng.SummaryOf(p.ID); !hot && eng.Contains(p.ID) {
+			migrated = p
+			break
+		}
+	}
+	if migrated == nil {
+		t.Fatal("no photo migrated")
+	}
+	s, hs, c := startServer(t, server.Config{Engine: eng})
+	t.Cleanup(func() { s.Engine().CloseColdTier() })
+	ctx := context.Background()
+	before, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+
+	foreign := core.NewEngine(core.Config{LSH: lsh.MinHashParams{Bands: 8}})
+	if _, err := foreign.Build(ds.Photos[:16]); err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	var snap bytes.Buffer
+	if _, err := foreign.WriteTo(&snap); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	resp, err := hs.Client().Post(hs.URL+"/v1/restore", "application/octet-stream", &snap)
+	if err != nil {
+		t.Fatalf("POST /v1/restore: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("mismatched restore answered %d, want 400", resp.StatusCode)
+	}
+
+	fresh := ds.FreshPhoto(700_000, 4)
+	if err := c.Insert(ctx, fresh.ID, fresh.Img); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	res, err := c.Query(ctx, migrated.Img, 10)
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	found := false
+	for _, r := range res {
+		found = found || r.ID == migrated.ID
+	}
+	if !found {
+		t.Fatalf("migrated photo %d not found after the refused restore: %+v", migrated.ID, res)
+	}
+	after, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	if !after.TieredEnabled || after.TieredColdEntries != before.TieredColdEntries {
+		t.Fatalf("tiered_cold_entries %d (enabled %v) after the refused restore, %d before",
+			after.TieredColdEntries, after.TieredEnabled, before.TieredColdEntries)
 	}
 }

@@ -3,9 +3,11 @@ package server
 import (
 	"encoding/base64"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
+	"github.com/fastrepro/fast/internal/core"
 	"github.com/fastrepro/fast/internal/simimg"
 	"github.com/fastrepro/fast/internal/store"
 )
@@ -179,9 +181,44 @@ type RingStatusResponse struct {
 	LastError          string          `json:"last_error,omitempty"`
 }
 
-// ErrorResponse is the body of every non-2xx JSON reply.
+// ErrorResponse is the body of every non-2xx JSON reply. Code is set when
+// the error wraps one of the typed engine errors a caller may branch on
+// (see NewErrorResponse), so callers never match on the message text.
 type ErrorResponse struct {
 	Error string `json:"error"`
+	Code  string `json:"code,omitempty"`
+}
+
+// errorCodes names the typed engine errors on the wire.
+var errorCodes = []struct {
+	code string
+	err  error
+}{
+	{"already_indexed", core.ErrAlreadyIndexed},
+	{"not_indexed", core.ErrNotIndexed},
+}
+
+// NewErrorResponse is the reply body for a failed operation: "what: err",
+// with the code of the typed engine error err wraps, if any.
+func NewErrorResponse(what string, err error) ErrorResponse {
+	er := ErrorResponse{Error: what + ": " + err.Error()}
+	for _, c := range errorCodes {
+		if errors.Is(err, c.err) {
+			er.Code = c.code
+			break
+		}
+	}
+	return er
+}
+
+// CodeError is the typed engine error a wire code names, or nil.
+func CodeError(code string) error {
+	for _, c := range errorCodes {
+		if c.code == code {
+			return c.err
+		}
+	}
+	return nil
 }
 
 // Stats is the body of GET /v1/stats. Field-by-field documentation lives
