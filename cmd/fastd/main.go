@@ -83,7 +83,7 @@ func main() {
 		peers       = flag.String("peers", "", "cluster shard mode: comma-separated peer shard base URLs, indexed by shard number (enables live ring migration)")
 		scratchDir  = flag.String("migrate-scratch", "", "scratch directory for chunk-diff peer fetches during ring migration (empty = stream full snapshots)")
 		groupExpand = flag.Int("group-expand", 0, "engine group expansion for synthetic bootstraps (0 = engine default, negative disables; forced off in shard mode)")
-		coldDir     = flag.String("cold-dir", "", "directory for the disk-resident cold index tier (empty = all-RAM engine)")
+		coldDir     = flag.String("cold-dir", "", "directory for the disk-resident cold index tier (empty = all-RAM engine); live ring updates do not support a cold tier")
 		coldWM      = flag.Int("cold-watermark", 0, "hot-tier entry bound: the background compactor migrates entries beyond it to the cold tier (0 = manual migration only)")
 		coldBatch   = flag.Int("cold-batch", 0, "entries per cold-tier migration segment (0 = default 256)")
 	)

@@ -19,8 +19,10 @@ import "math/bits"
 // float64 division) to the sparse merge.
 //
 // Only a probe needs its packed image: JaccardPackedSparse tests a stored
-// summary's positions against it (the bitmap-probe form), so the hot index
-// keeps each summary sparse. The cold tier stores and scores packed words.
+// summary's positions against it (the bitmap-probe form), so both index
+// tiers keep each summary sparse and score with that one kernel.
+// JaccardPacked, AndOrCount, AppendBits and Sparse.Packed serve the bench
+// ladder and the tests.
 
 // PackedWords returns the number of 64-bit words a filter of m bits packs
 // into.
@@ -53,10 +55,8 @@ func (s *Sparse) Packed() []uint64 { return AppendPacked(nil, s.M, s.Bits) }
 
 // AppendBits appends the set-bit positions of the packed words to dst in
 // ascending order and returns the extended slice — the inverse of
-// AppendPacked. The cold tier stores only the packed form on disk; group
-// expansion reconstructs a stored entry's sparse position list from it, and
-// because packing is order-preserving the reconstruction is exactly the
-// sorted Bits slice the summary was stored with.
+// AppendPacked: packing is order-preserving, so the result is exactly the
+// sorted positions that were packed.
 func AppendBits(dst []uint32, words []uint64) []uint32 {
 	for wi, w := range words {
 		base := uint32(wi * 64)

@@ -15,6 +15,22 @@ type Sparse struct {
 	Bits []uint32 // sorted set-bit positions
 }
 
+// CheckPositions reports whether positions is a valid sparse summary of an
+// m-bit filter: strictly increasing and below m. Every stored form of a
+// summary — hot entries, snapshots, cold-segment records — passes it, so a
+// summary's position count is its popcount and packing it loses nothing.
+func CheckPositions(m uint32, positions []uint32) error {
+	for i, b := range positions {
+		if b >= m {
+			return fmt.Errorf("position %d ≥ m %d", b, m)
+		}
+		if i > 0 && b <= positions[i-1] {
+			return fmt.Errorf("positions not strictly increasing at index %d", i)
+		}
+	}
+	return nil
+}
+
 // ToSparse converts a dense filter to its sparse form.
 func ToSparse(f *Filter) *Sparse {
 	return &Sparse{M: f.m, K: f.k, Bits: f.SetBits()}

@@ -111,8 +111,6 @@ type Config struct {
 	TableCapacity int
 	// Neighborhood is the flat-cuckoo ν; 0 means cuckoo.DefaultNeighborhood.
 	Neighborhood int
-	// MinScore drops candidates below this summary similarity; 0 means 0.05.
-	MinScore float64
 	// GroupExpand re-queries the LSH index with the summaries of the top-N
 	// verified hits and merges their correlated groups into the result (the
 	// paper's Semantic Aggregation returns whole correlation-aware groups,
@@ -141,6 +139,10 @@ type Config struct {
 	ResultCache int
 }
 
+// minScore drops candidates below this summary similarity, on both tiers
+// and in group expansion.
+const minScore = 0.05
+
 func (c Config) withDefaults() Config {
 	if c.TrainingSample == 0 {
 		c.TrainingSample = 32
@@ -148,9 +150,6 @@ func (c Config) withDefaults() Config {
 	c.Summary = c.Summary.WithDefaults()
 	if c.Neighborhood == 0 {
 		c.Neighborhood = cuckoo.DefaultNeighborhood
-	}
-	if c.MinScore == 0 {
-		c.MinScore = 0.05
 	}
 	if c.GroupExpand == 0 {
 		c.GroupExpand = 8

@@ -149,7 +149,7 @@ func (e *Engine) appendConfigSection(w io.Writer) error {
 	return writeFields(w,
 		uint32(cfg.Summary.Bits), int32(cfg.Summary.K), int32(cfg.Summary.SubVector), cfg.Summary.Granularity,
 		int32(lshp.Bands), int32(lshp.Rows), lshp.Seed,
-		int64(cfg.TableCapacity), int32(cfg.Neighborhood), cfg.MinScore, int32(cfg.GroupExpand),
+		int64(cfg.TableCapacity), int32(cfg.Neighborhood), float64(minScore), int32(cfg.GroupExpand),
 	)
 }
 
@@ -325,7 +325,7 @@ func readConfigSection(br byteReader) (Config, error) {
 	var lshSeed int64
 	var tableCap int64
 	var nu int32
-	var minScore float64
+	var snapMinScore float64
 	var groupExpand int32
 	read := func(vs ...interface{}) error {
 		for _, v := range vs {
@@ -335,17 +335,20 @@ func readConfigSection(br byteReader) (Config, error) {
 		}
 		return nil
 	}
-	if err := read(&bits, &k, &sub, &gran, &bands, &rows, &lshSeed, &tableCap, &nu, &minScore, &groupExpand); err != nil {
+	if err := read(&bits, &k, &sub, &gran, &bands, &rows, &lshSeed, &tableCap, &nu, &snapMinScore, &groupExpand); err != nil {
 		return cfg, fmt.Errorf("%w: config: %v", errBadSnapshot, err)
 	}
 	cfg.Summary = bloom.SummaryConfig{Bits: bits, K: int(k), SubVector: int(sub), Granularity: gran}
 	cfg.LSH = lsh.MinHashParams{Bands: int(bands), Rows: int(rows), Seed: lshSeed}
 	cfg.TableCapacity = int(tableCap)
 	cfg.Neighborhood = int(nu)
-	cfg.MinScore = minScore
 	cfg.GroupExpand = int(groupExpand)
 	if err := validateSnapshotConfig(cfg); err != nil {
 		return cfg, err
+	}
+	// The field is kept in the layout; the engine's threshold is fixed.
+	if snapMinScore != minScore {
+		return cfg, fmt.Errorf("%w: config field minscore = %v, this build scores at %v", errBadSnapshot, snapMinScore, minScore)
 	}
 	return cfg, nil
 }
@@ -526,9 +529,6 @@ func validateSnapshotConfig(cfg Config) error {
 	}
 	if cfg.Neighborhood < 0 || cfg.Neighborhood > 1<<16 {
 		return bad("table.neighborhood", cfg.Neighborhood)
-	}
-	if !(cfg.MinScore >= -1 && cfg.MinScore <= 1) { // NaN fails the comparison too
-		return bad("minscore", cfg.MinScore)
 	}
 	if cfg.GroupExpand < -1<<20 || cfg.GroupExpand > 1<<20 {
 		return bad("groupexpand", cfg.GroupExpand)

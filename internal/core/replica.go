@@ -63,7 +63,7 @@ func (e *Engine) InsertSummary(id uint64, s *bloom.Sparse) error {
 // checkSummary rejects a summary the engine cannot store or score
 // faithfully: its geometry must be the configured one (probe words are
 // packed at that width, and migration freezes entries at it), and its
-// positions must be strictly increasing and below m (so packing keeps every
+// positions must pass bloom.CheckPositions (so packing keeps every
 // position and the position count is the popcount the scoring kernel's
 // union count relies on). InsertSummary and ReadEngine gate stored
 // summaries on it; QuerySummary gates probes.
@@ -71,13 +71,5 @@ func checkSummary(s *bloom.Sparse, sc bloom.SummaryConfig) error {
 	if s.M != sc.Bits || s.K != sc.K {
 		return fmt.Errorf("geometry %d/%d differs from config %d/%d", s.M, s.K, sc.Bits, sc.K)
 	}
-	for i, b := range s.Bits {
-		if b >= s.M {
-			return fmt.Errorf("position %d ≥ m %d", b, s.M)
-		}
-		if i > 0 && b <= s.Bits[i-1] {
-			return fmt.Errorf("positions not strictly increasing at index %d", i)
-		}
-	}
-	return nil
+	return bloom.CheckPositions(s.M, s.Bits)
 }

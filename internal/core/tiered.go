@@ -18,13 +18,12 @@ import (
 // hot tier is the existing lock-free epoch-published view, untouched on its
 // fast path, and the cold tier (internal/tiered) holds entries migrated out
 // of RAM in an on-disk IVF layout — LSH band bucket → postings list of
-// packed summaries — mmap'd read-only and scanned sequentially per probed
-// bucket. Queries probe hot first and spill to the cold postings of the
-// same band keys, so the union candidate set is exactly what an all-RAM
-// engine over the union corpus would collect, the scores are the same
-// integer Jaccard cardinalities (the hot tier tests stored positions
-// against the probe's packed words, the cold tier pops counts over the
-// packed words migration froze from those positions), and the final
+// summaries, each its sorted set-bit positions — mmap'd read-only and
+// scanned sequentially per probed bucket. Queries probe hot first and spill
+// to the cold postings of the same band keys, so the union candidate set
+// is exactly what an all-RAM engine over the union corpus would collect,
+// both tiers score with the same kernel (bloom.JaccardPackedSparse: stored
+// positions tested against the probe's packed words), and the final
 // ranking goes through the same total-order comparator — a tiered engine
 // answers byte-identically to the all-hot oracle (enforced by the property
 // and crash-matrix tests).
@@ -44,7 +43,7 @@ import (
 //
 // Deletes against cold entries become catalog tombstones; the background
 // compactor folds them away by rewriting the cold tier (CompactColdTier),
-// which preserves answers exactly (same ids, same words, same keys).
+// which preserves answers exactly (same ids, same positions, same keys).
 
 // TieredStats is the cold-tier block of EngineStats, surfaced by /v1/stats
 // as the tiered_* fields.
@@ -304,9 +303,9 @@ func (e *Engine) coldCompactor(cold *tiered.Store, kick, stop, done chan struct{
 // into a new cold segment and removes them from RAM. Returns how many
 // entries moved. Featureless entries (empty summaries) have no band keys
 // and stay hot forever; ids already cold (dual-resident crash debris) are
-// skipped. Answers over the union corpus are unchanged: each entry is
-// packed as it freezes, the packed words hold exactly its positions, and it
-// lands in cold buckets keyed identically to the hot buckets it leaves.
+// skipped. Answers over the union corpus are unchanged: each entry freezes
+// with exactly its positions and lands in cold buckets keyed identically to
+// the hot buckets it leaves.
 func (e *Engine) MigrateCold(max int) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -333,7 +332,7 @@ func (e *Engine) MigrateCold(max int) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("core: migrating photo %d: %w", ent.id, err)
 		}
-		batch = append(batch, tiered.Entry{ID: ent.id, Words: ent.summary.Packed(), Keys: keys})
+		batch = append(batch, tiered.Entry{ID: ent.id, Bits: ent.summary.Bits, Keys: keys})
 		ids = append(ids, ent.id)
 	}
 	if len(batch) == 0 {
@@ -359,10 +358,10 @@ func (e *Engine) MigrateCold(max int) (int, error) {
 
 // CompactColdTier rewrites the cold tier as a single segment holding
 // exactly the live cold entries, folding away tombstones and records
-// superseded by later migrations. Words are carried over verbatim and band
-// keys recomputed under the same hash family (the seed matrix is a pure
-// function of the LSH params), so answers are byte-identical across the
-// rewrite.
+// superseded by later migrations. Positions are carried over verbatim and
+// band keys recomputed under the same hash family (the seed matrix is a
+// pure function of the LSH params), so answers are byte-identical across
+// the rewrite.
 func (e *Engine) CompactColdTier() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -373,20 +372,17 @@ func (e *Engine) CompactColdTier() error {
 	ids := cv.AppendIDs(nil)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	batch := make([]tiered.Entry, 0, len(ids))
-	scratch := make([]uint64, bloom.PackedWords(e.cfg.Summary.Bits))
-	var bits []uint32
 	for _, id := range ids {
-		seg, rec, ok := cv.Lookup(id)
+		seg, off, ok := cv.Lookup(id)
 		if !ok {
 			continue
 		}
-		words := append([]uint64(nil), seg.RecordWords(rec, scratch)...)
-		bits = bloom.AppendBits(bits[:0], words)
+		bits := seg.RecordBits(off, nil)
 		keys, err := e.index.AppendBandKeys(nil, bits)
 		if err != nil {
 			return fmt.Errorf("core: compacting cold photo %d: %w", id, err)
 		}
-		batch = append(batch, tiered.Entry{ID: id, Words: words, Keys: keys})
+		batch = append(batch, tiered.Entry{ID: id, Bits: bits, Keys: keys})
 	}
 	if err := e.cold.ReplaceAll(batch); err != nil {
 		return err
@@ -397,34 +393,34 @@ func (e *Engine) CompactColdTier() error {
 
 // appendCold scans every probed cold bucket — keys against every live
 // segment — and appends one candidate per live, unseen posting that scores
-// at least minScore against words, at weight·similarity. seen holds the
-// hot candidates the caller already collected, so dual-resident ids and
-// cross-bucket duplicates score exactly once; the owner check skips stale
-// postings (tombstoned or superseded records). The probe's own spill
-// passes weight 1 and no exclude set; group expansion passes the
-// representative's probe score and the ids already in the result, which
-// are skipped and extended. Scores are the same integer Jaccard
-// cardinalities the hot path computes, here popcounted over packed words on
-// both sides. The scan is counted once, through coldStore's spill counters
-// (non-empty buckets probed, postings walked, bytes touched). No closures,
-// no allocations beyond dst growth.
-func appendCold(cv *tiered.View, coldStore *tiered.Store, keys, words []uint64,
-	weight, minScore float64, exclude map[uint64]bool, seen map[lsh.ItemID]struct{},
-	dst []SearchResult, scratch []uint64) []SearchResult {
+// at least minScore against words (the packed probe, n set bits), at
+// weight·similarity. seen holds the hot candidates the caller already
+// collected, so dual-resident ids and cross-bucket duplicates score exactly
+// once; the owner check skips stale postings (tombstoned or superseded
+// records). The probe's own spill passes weight 1 and no exclude set; group
+// expansion passes the representative's probe score and the ids already in
+// the result, which are skipped and extended. A record's positions are
+// decoded into bits and scored by the hot tier's kernel, so scores are the
+// same integer Jaccard cardinalities. The scan is counted once, through
+// coldStore's spill counters (non-empty buckets probed, postings walked,
+// bytes touched). No closures, no allocations beyond dst and bits growth;
+// returns the extended dst and the (possibly grown) bits scratch.
+func appendCold(cv *tiered.View, coldStore *tiered.Store, keys, words []uint64, n int,
+	weight float64, exclude map[uint64]bool, seen map[lsh.ItemID]struct{},
+	dst []SearchResult, bits []uint32) ([]SearchResult, []uint32) {
 	var probes, recs, bytes int64
 	segs := cv.Segments()
 	for b, key := range keys {
 		for si := range segs {
 			p := segs[si].Bucket(b, key)
-			n := p.Len()
-			if n == 0 {
+			if p.Len() == 0 {
 				continue
 			}
 			probes++
-			recs += int64(n)
+			recs += int64(p.Len())
 			bytes += p.Bytes()
-			for i := 0; i < n; i++ {
-				id := p.ID(i)
+			for p.Next() {
+				id := p.ID()
 				if !cv.Owns(id, si) {
 					continue
 				}
@@ -435,7 +431,8 @@ func appendCold(cv *tiered.View, coldStore *tiered.Store, keys, words []uint64,
 				if exclude != nil && exclude[id] {
 					continue
 				}
-				sim := bloom.JaccardPacked(words, p.Words(i, scratch))
+				bits = p.Bits(bits)
+				sim := bloom.JaccardPackedSparse(words, n, bits)
 				if sim < minScore {
 					continue
 				}
@@ -447,5 +444,5 @@ func appendCold(cv *tiered.View, coldStore *tiered.Store, keys, words []uint64,
 		}
 	}
 	coldStore.NoteSpill(probes, recs, bytes)
-	return dst
+	return dst, bits
 }

@@ -62,7 +62,6 @@ type readView struct {
 	index    *lsh.View        // SA snapshot
 	table    *cuckoo.View     // CHS snapshot
 	entries  []entry          // slot storage; shared, never written in place
-	minScore float64          // cfg snapshot, so a view is self-contained
 	expand   int              // cfg.GroupExpand
 
 	// Cold-tier pairing. The tiered view is captured under the same e.mu
@@ -93,7 +92,6 @@ func (e *Engine) publishLocked() {
 		index:    e.index.Snapshot(),
 		table:    e.table.Snapshot(),
 		entries:  e.entries,
-		minScore: e.cfg.MinScore,
 		expand:   e.cfg.GroupExpand,
 	}
 	if e.cold != nil {
@@ -130,11 +128,11 @@ type viewScratch struct {
 	rwords   []uint64
 
 	// Cold-spill buffers, touched only when the view carries a cold tier:
-	// the probe's band keys, the per-posting word scratch (used on hosts
-	// without a zero-copy mmap word view), a cold representative's
-	// reconstructed bits, and the representative's band keys.
+	// the probe's band keys, the positions of the cold record being
+	// scored, a cold representative's positions, and the representative's
+	// band keys.
 	bandKeys []uint64
-	cwords   []uint64
+	cbits    []uint32
 	gkeys    []uint64
 	gbits    []uint32
 }
@@ -242,17 +240,14 @@ func (e *Engine) searchView(v *readView, probeSparse *bloom.Sparse, topK, worker
 			putScratch()
 			return nil, err
 		}
-		if cap(sc.cwords) < len(probeWords) {
-			sc.cwords = make([]uint64, len(probeWords))
-		}
-		results = appendCold(v.cold, v.coldStore, sc.bandKeys, probeWords, 1, v.minScore, nil,
-			sc.seen, results, sc.cwords[:len(probeWords)])
+		results, sc.cbits = appendCold(v.cold, v.coldStore, sc.bandKeys, probeWords, probeN, 1, nil,
+			sc.seen, results, sc.cbits)
 	}
 
 	// Filter and rank.
 	kept := results[:0]
 	for _, r := range results {
-		if r.Score >= v.minScore {
+		if r.Score >= minScore {
 			kept = append(kept, r)
 		}
 	}
@@ -280,37 +275,25 @@ func (e *Engine) searchView(v *readView, probeSparse *bloom.Sparse, topK, worker
 		var mates int64 // admitted hot groupmates, one access each
 		for h := 0; h < expandFrom; h++ {
 			hit := kept[h]
-			// Resolve the representative in both forms from whichever tier
-			// holds it: a hot rep is packed into pooled words, a cold rep's
-			// bits are reconstructed from its packed words (exact inverse of
-			// packing), so the member re-probe uses the identical element
-			// set the all-hot engine would.
-			var repWords []uint64
+			// Resolve the representative's positions from whichever tier
+			// holds it — both store the same sorted positions — and pack
+			// them once into pooled words for scoring its groupmates.
 			var repBits []uint32
 			if slot, ok := v.table.Lookup(hit.ID); ok {
-				rep := &v.entries[slot]
-				if rep.summary == nil || len(rep.summary.Bits) == 0 {
-					continue
+				if rep := &v.entries[slot]; rep.summary != nil {
+					repBits = rep.summary.Bits
 				}
-				sc.rwords = bloom.AppendPacked(sc.rwords, rep.summary.M, rep.summary.Bits)
-				repWords, repBits = sc.rwords, rep.summary.Bits
 			} else if coldActive {
-				seg, rec, ok := v.cold.Lookup(hit.ID)
-				if !ok {
-					continue
+				if seg, off, ok := v.cold.Lookup(hit.ID); ok {
+					sc.gbits = seg.RecordBits(off, sc.gbits)
+					repBits = sc.gbits
 				}
-				if cap(sc.rwords) < len(probeWords) {
-					sc.rwords = make([]uint64, len(probeWords))
-				}
-				repWords = seg.RecordWords(rec, sc.rwords[:len(probeWords)])
-				sc.gbits = bloom.AppendBits(sc.gbits[:0], repWords)
-				repBits = sc.gbits
-				if len(repBits) == 0 {
-					continue
-				}
-			} else {
+			}
+			if len(repBits) == 0 {
 				continue
 			}
+			sc.rwords = bloom.AppendPacked(sc.rwords, probeSparse.M, repBits)
+			repWords := sc.rwords
 			if sc.gseen == nil {
 				sc.gseen = make(map[lsh.ItemID]struct{})
 			}
@@ -333,7 +316,7 @@ func (e *Engine) searchView(v *readView, probeSparse *bloom.Sparse, topK, worker
 					continue
 				}
 				sim := bloom.JaccardPackedSparse(repWords, len(repBits), g.summary.Bits)
-				if sim < v.minScore {
+				if sim < minScore {
 					continue
 				}
 				mates++
@@ -348,11 +331,8 @@ func (e *Engine) searchView(v *readView, probeSparse *bloom.Sparse, topK, worker
 				if err != nil {
 					continue
 				}
-				if cap(sc.cwords) < len(probeWords) {
-					sc.cwords = make([]uint64, len(probeWords))
-				}
-				kept = appendCold(v.cold, v.coldStore, sc.gkeys, repWords, hit.Score, v.minScore, inResult,
-					sc.gseen, kept, sc.cwords[:len(probeWords)])
+				kept, sc.cbits = appendCold(v.cold, v.coldStore, sc.gkeys, repWords, len(repBits), hit.Score, inResult,
+					sc.gseen, kept, sc.cbits)
 			}
 		}
 		e.countAccesses(mates, 0)

@@ -21,7 +21,7 @@ import (
 // set under e's trained basis and config, with both cache tiers and the
 // cold tier off, through the same allocLocked + storeLocked + publishLocked
 // steps Build takes after training. Cold-resident summaries come back from
-// their packed words on disk (the exact inverse of packing). Answers are
+// their segment records, which hold the same positions. Answers are
 // totally ordered (score desc, id asc), so the oracle's bucket and cell
 // order cannot change them: any difference from e's published view is a
 // view that missed a mutation, or a live structure that drifted from the
@@ -43,13 +43,12 @@ func rebuildOracle(t *testing.T, e *Engine) *Engine {
 	}
 	if e.cold != nil {
 		cv := e.cold.View()
-		scratch := make([]uint64, bloom.PackedWords(cfg.Summary.Bits))
 		for _, id := range e.coldOnlyLocked() {
-			seg, rec, ok := cv.Lookup(id)
+			seg, off, ok := cv.Lookup(id)
 			if !ok {
 				t.Fatalf("rebuild oracle: cold id %d has no record", id)
 			}
-			bits := bloom.AppendBits(nil, seg.RecordWords(rec, scratch))
+			bits := seg.RecordBits(off, nil)
 			live = append(live, entry{id: id, summary: &bloom.Sparse{M: cfg.Summary.Bits, K: cfg.Summary.K, Bits: bits}})
 		}
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -215,6 +216,13 @@ func (s *Server) ringPrepare(wire RingConfigWire) (*RingStatusResponse, error) {
 	}
 	if nrep > next.Shards() {
 		nrep = next.Shards()
+	}
+
+	// Peers acquire entries from this shard's /v1/snapshot, which carries
+	// the hot tier only: entries held cold would never reach their new
+	// owners, and the commit would then shed them here.
+	if s.Engine().Stats().Tiered.Enabled {
+		return nil, errors.New("server: live ring updates do not support a cold tier (fastd -cold-dir); the shard's cold entries would be lost")
 	}
 
 	s.ringMu.Lock()

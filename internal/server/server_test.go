@@ -18,6 +18,7 @@ import (
 	"github.com/fastrepro/fast/internal/core"
 	"github.com/fastrepro/fast/internal/failpoint"
 	"github.com/fastrepro/fast/internal/lsh"
+	"github.com/fastrepro/fast/internal/placement"
 	"github.com/fastrepro/fast/internal/server"
 	"github.com/fastrepro/fast/internal/simimg"
 	"github.com/fastrepro/fast/internal/store"
@@ -316,6 +317,48 @@ func TestSnapshotRestoreOverWire(t *testing.T) {
 	}
 	if sB.Engine().Len() != engA.Len() {
 		t.Fatal("failed restore disturbed the engine")
+	}
+}
+
+// TestRingPrepareRefusesColdTier: a shard whose engine holds migrated cold
+// entries refuses a ring prepare with 409 and stays steady with no pending
+// ring. A peer's /v1/snapshot carries hot entries only, so accepting would
+// let the commit shed cold entries no new owner acquired.
+func TestRingPrepareRefusesColdTier(t *testing.T) {
+	eng, ds := baseEngine(t)
+	if _, err := eng.EnableColdTier(t.TempDir(), 0, 0); err != nil {
+		t.Fatalf("EnableColdTier: %v", err)
+	}
+	if n, err := eng.MigrateCold(len(ds.Photos) / 2); err != nil || n == 0 {
+		t.Fatalf("MigrateCold = %d, %v", n, err)
+	}
+	ring := placement.Config{Shards: 2, VNodes: 8, Seed: 3, Epoch: 1}
+	s, hs, c := startServer(t, server.Config{Engine: eng, Shard: &server.ShardConfig{Index: 0, Ring: ring, Replicas: 2}})
+	t.Cleanup(func() { s.Engine().CloseColdTier() })
+
+	body, err := json.Marshal(server.RingUpdateRequest{Phase: "prepare",
+		Ring: server.RingConfigWire{Shards: 2, VNodes: 8, Seed: 4, Epoch: 2, Replicas: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := hs.Client().Post(hs.URL+"/v1/ring", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/ring: %v", err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("prepare over a cold tier answered %d (%s), want 409", resp.StatusCode, msg)
+	}
+	if !bytes.Contains(msg, []byte("cold tier")) {
+		t.Fatalf("refusal %q does not name the cold tier", msg)
+	}
+	st, err := c.RingStatus(context.Background())
+	if err != nil {
+		t.Fatalf("RingStatus: %v", err)
+	}
+	if st.State != "steady" || st.Pending != nil {
+		t.Fatalf("after the refused prepare: state %q, pending %+v; want steady and none", st.State, st.Pending)
 	}
 }
 

@@ -5,21 +5,15 @@ package tiered
 import (
 	"io"
 	"os"
-	"unsafe"
 )
 
-// Fallback for hosts without mmap: read the whole file into a buffer backed
-// by a []uint64 allocation, so the postings region keeps the 8-byte
-// alignment the zero-copy word view relies on. Capacity is then bounded by
-// RAM again, but the format, CRCs, and query path are identical.
+// Fallback for hosts without mmap: read the whole file into memory.
+// Capacity is then bounded by RAM again, but the format, CRCs, and query
+// path are identical.
 type mapping struct{ data []byte }
 
 func mapFile(f *os.File, size int64) (*mapping, []byte, error) {
-	if size == 0 {
-		return &mapping{}, nil, nil
-	}
-	backing := make([]uint64, (size+7)/8)
-	buf := unsafe.Slice((*byte)(unsafe.Pointer(&backing[0])), size)
+	buf := make([]byte, size)
 	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), buf); err != nil {
 		return nil, nil, err
 	}

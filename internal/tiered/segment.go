@@ -8,47 +8,50 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"unsafe"
 
 	"github.com/fastrepro/fast/internal/bloom"
 	"github.com/fastrepro/fast/internal/failpoint"
 	"github.com/fastrepro/fast/internal/store"
 )
 
-// Segment file format ("FASTSEG1"), all integers little-endian:
+// Segment file format ("FASTSEG1", version 2), all integers little-endian:
 //
-//	header   64 B   magic[8] version:u32 m:u32 k:u32 wordsPerEntry:u32
+//	header   64 B   magic[8] version:u32 m:u32 k:u32 reserved:u32
 //	                bands:u32 bucketCount:u32 entryCount:u64 seedFP:u64
 //	                records:u64 headerCRC:u32(bytes 0..56) pad:u32
 //	dir      bucketCount × 32 B   band:u32 pad:u32 key:u64 start:u64 count:u64
-//	                sorted by (band, key); start/count are record ordinals
-//	postings records × stride B   id:u64 words[wordsPerEntry]:u64
+//	                sorted by (band, key); start is the byte offset of the
+//	                bucket's first record in the postings region
+//	postings records   id:u64 n:u32 positions[n]:u32
 //	trailer  4 B    CRC-32C over dir+postings
 //
 // The postings region is the IVF layout: each directory entry is one LSH
-// band bucket, its postings are the packed summaries of every entry hashing
-// there. Records are duplicated once per band — the honest inverted-file
-// trade: ~bands× the disk of a row store, bought back as one sequential
-// scan per probed bucket with zero deserialization, because the word layout
-// on disk is exactly the []uint64 layout bloom.AndOrCount consumes. The
-// header is 64 B and directory entries 32 B, so the postings region — and
-// every 8·(1+words)-stride record in it — stays 8-byte aligned for the
-// zero-copy word view.
+// band bucket, its postings are the summaries of every entry hashing there,
+// stored as the sorted set-bit positions the hot tier and the snapshot keep.
+// Buckets are laid out back to back in directory order, so a probed bucket
+// is one sequential scan. Records are duplicated once per band — the honest
+// inverted-file trade: ~bands× the disk of a row store. Version 1 stored
+// packed filter words instead; it is refused at open.
 const (
 	segMagic     = "FASTSEG1"
-	segVersion   = 1
+	segVersion   = 2
 	segHeaderLen = 64
 	segDirEntLen = 32
+	segRecHdrLen = 12 // id:u64 n:u32
 	segSuffix    = ".fastseg"
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// maxPostingsBytes bounds the postings region: record offsets are int32.
+const maxPostingsBytes = 1<<31 - 1
+
 // geometry pins the filter and hash-family parameters a segment was written
 // under; a segment can only ever be probed under the identical geometry
-// (the byte-identity argument needs the same words and the same band keys
-// on both tiers).
+// (the byte-identity argument needs the same positions and the same band
+// keys on both tiers).
 type geometry struct {
 	m      uint32
 	k      uint32
@@ -56,15 +59,13 @@ type geometry struct {
 	seedFP uint64
 }
 
-func (g geometry) words() int { return bloom.PackedWords(g.m) }
-
-// Entry is one summary handed to the cold tier: the packed filter words and
-// the LSH bucket key for every band, computed by the engine's own index so
-// cold probes land in exactly the buckets hot probes would.
+// Entry is one summary handed to the cold tier: its sorted set-bit
+// positions and the LSH bucket key for every band, computed by the engine's
+// own index so cold probes land in exactly the buckets hot probes would.
 type Entry struct {
-	ID    uint64
-	Words []uint64 // packed summary, bloom.PackedWords(m) words
-	Keys  []uint64 // bucket key per band, band order
+	ID   uint64
+	Bits []uint32 // sorted set-bit positions, each below m
+	Keys []uint64 // bucket key per band, band order
 }
 
 func segPath(dir string, seq uint64) string {
@@ -97,11 +98,19 @@ func writeSegment(path string, geo geometry, batch []Entry) (int64, error) {
 		}
 		return order[i].key < order[j].key
 	})
-	words := geo.words()
-	stride := 8 * (1 + words)
+	// starts[j] is bucket j's byte offset; the last is the region's size.
+	starts := make([]int, len(order)+1)
 	records := 0
-	for _, br := range order {
+	for j, br := range order {
 		records += len(buckets[br])
+		starts[j+1] = starts[j]
+		for _, i := range buckets[br] {
+			starts[j+1] += segRecHdrLen + 4*len(batch[i].Bits)
+		}
+	}
+	postings := starts[len(order)]
+	if postings > maxPostingsBytes {
+		return 0, fmt.Errorf("tiered: segment postings of %d bytes exceed the %d-byte limit", postings, maxPostingsBytes)
 	}
 
 	return store.PublishFile(path, func(w io.Writer) (int64, error) {
@@ -116,7 +125,6 @@ func writeSegment(path string, geo geometry, batch []Entry) (int64, error) {
 		le.PutUint32(hdr[8:], segVersion)
 		le.PutUint32(hdr[12:], geo.m)
 		le.PutUint32(hdr[16:], geo.k)
-		le.PutUint32(hdr[20:], uint32(words))
 		le.PutUint32(hdr[24:], geo.bands)
 		le.PutUint32(hdr[28:], uint32(len(order)))
 		le.PutUint64(hdr[32:], uint64(len(batch)))
@@ -135,27 +143,25 @@ func writeSegment(path string, geo geometry, batch []Entry) (int64, error) {
 		}
 
 		var dent [segDirEntLen]byte
-		start := uint64(0)
-		for _, br := range order {
-			n := uint64(len(buckets[br]))
+		for j, br := range order {
 			le.PutUint32(dent[0:], br.band)
 			le.PutUint32(dent[4:], 0)
 			le.PutUint64(dent[8:], br.key)
-			le.PutUint64(dent[16:], start)
-			le.PutUint64(dent[24:], n)
+			le.PutUint64(dent[16:], uint64(starts[j]))
+			le.PutUint64(dent[24:], uint64(len(buckets[br])))
 			if err := emit(dent[:]); err != nil {
 				return 0, err
 			}
-			start += n
 		}
 
-		rec := make([]byte, stride)
+		var rec []byte
 		for _, br := range order {
 			for _, i := range buckets[br] {
 				e := &batch[i]
-				le.PutUint64(rec[0:], e.ID)
-				for wi, wv := range e.Words {
-					le.PutUint64(rec[8+8*wi:], wv)
+				rec = le.AppendUint64(rec[:0], e.ID)
+				rec = le.AppendUint32(rec, uint32(len(e.Bits)))
+				for _, b := range e.Bits {
+					rec = le.AppendUint32(rec, b)
 				}
 				if err := emit(rec); err != nil {
 					return 0, err
@@ -170,39 +176,37 @@ func writeSegment(path string, geo geometry, batch []Entry) (int64, error) {
 		if err := bw.Flush(); err != nil {
 			return 0, err
 		}
-		return int64(segHeaderLen + segDirEntLen*len(order) + stride*records + 4), nil
+		return int64(segHeaderLen + segDirEntLen*len(order) + postings + 4), nil
 	})
 }
 
 // Segment is one immutable on-disk postings file, opened read-only and
 // mmap'd. All fields are set at open and never mutated, so a Segment is
-// safe for concurrent lock-free readers.
+// safe for concurrent lock-free readers. Records are addressed by their
+// byte offset in the postings region.
 type Segment struct {
 	path      string
 	seq       uint64
 	geo       geometry
-	words     int
-	stride    int
 	mm        *mapping
-	data      []byte
+	post      []byte // postings region
 	dir       []dirEnt
-	postOff   int
-	records   int
-	byID      map[uint64]int32 // id → first record ordinal
+	byID      map[uint64]int32 // id → offset of its first record
 	fileBytes int64
 }
 
 type dirEnt struct {
 	band  uint32
-	start int32
+	start int32 // byte offset of the first record in the postings region
 	count int32
 	key   uint64
 }
 
 // openSegment maps the file and validates everything — magic, version,
-// header CRC, geometry, declared size, body CRC, directory order and
-// ranges — before any reader can touch it, so a torn or corrupt segment is
-// rejected at open rather than mis-scored at query time.
+// header CRC, geometry, declared size, body CRC, directory order, bucket
+// extents and every record's positions — before any reader can touch it,
+// so a torn or corrupt segment is rejected at open rather than mis-scored
+// at query time.
 func openSegment(path string, seq uint64, geo geometry) (*Segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -214,29 +218,31 @@ func openSegment(path string, seq uint64, geo geometry) (*Segment, error) {
 		return nil, err
 	}
 	size := fi.Size()
-	if size < segHeaderLen+4 {
-		return nil, fmt.Errorf("tiered: segment %s: truncated (%d bytes)", filepath.Base(path), size)
-	}
 	mm, data, err := mapFile(f, size)
 	if err != nil {
 		return nil, fmt.Errorf("tiered: mapping segment %s: %w", filepath.Base(path), err)
 	}
-	s := &Segment{path: path, seq: seq, geo: geo, mm: mm, data: data, fileBytes: size}
-	if err := s.parse(); err != nil {
+	s := &Segment{path: path, seq: seq, geo: geo, mm: mm, fileBytes: size}
+	if err := s.parse(data); err != nil {
 		mm.close()
 		return nil, fmt.Errorf("tiered: segment %s: %w", filepath.Base(path), err)
 	}
 	return s, nil
 }
 
-func (s *Segment) parse() error {
+// parse validates the mapped file image data and sets the segment's
+// directory, postings region and id map from it.
+func (s *Segment) parse(data []byte) error {
+	if len(data) < segHeaderLen+4 {
+		return fmt.Errorf("truncated (%d bytes)", len(data))
+	}
 	le := binary.LittleEndian
-	h := s.data[:segHeaderLen]
+	h := data[:segHeaderLen]
 	if string(h[:8]) != segMagic {
 		return fmt.Errorf("bad magic %q", h[:8])
 	}
 	if v := le.Uint32(h[8:]); v != segVersion {
-		return fmt.Errorf("unsupported version %d", v)
+		return fmt.Errorf("unsupported segment version %d (this build reads version %d)", v, segVersion)
 	}
 	if got, want := crc32.Checksum(h[:56], castagnoli), le.Uint32(h[56:]); got != want {
 		return fmt.Errorf("header CRC mismatch")
@@ -246,59 +252,69 @@ func (s *Segment) parse() error {
 		return fmt.Errorf("geometry mismatch: segment written under m=%d k=%d bands=%d seed %#x, index is m=%d k=%d bands=%d seed %#x",
 			got.m, got.k, got.bands, got.seedFP, s.geo.m, s.geo.k, s.geo.bands, s.geo.seedFP)
 	}
-	s.words = int(le.Uint32(h[20:]))
-	if s.words != s.geo.words() {
-		return fmt.Errorf("word count %d does not match m=%d", s.words, s.geo.m)
-	}
-	s.stride = 8 * (1 + s.words)
-	bucketCount := int(le.Uint32(h[28:]))
+	bucketCount := int64(le.Uint32(h[28:]))
 	entries := le.Uint64(h[32:])
 	records := le.Uint64(h[48:])
-	if records > 1<<31-1 {
-		return fmt.Errorf("record count %d out of range", records)
+	postOff := segHeaderLen + segDirEntLen*bucketCount
+	postLen := int64(len(data)) - 4 - postOff
+	if postLen < 0 {
+		return fmt.Errorf("size %d too small for %d directory entries", len(data), bucketCount)
 	}
-	want := int64(segHeaderLen) + int64(segDirEntLen)*int64(bucketCount) + int64(s.stride)*int64(records) + 4
-	if int64(len(s.data)) != want {
-		return fmt.Errorf("size %d does not match header (want %d)", len(s.data), want)
+	if postLen > maxPostingsBytes {
+		return fmt.Errorf("postings region of %d bytes exceeds the %d-byte limit", postLen, maxPostingsBytes)
 	}
-	body := s.data[segHeaderLen : len(s.data)-4]
-	if got, want := crc32.Checksum(body, castagnoli), le.Uint32(s.data[len(s.data)-4:]); got != want {
+	body := data[segHeaderLen : len(data)-4]
+	if got, want := crc32.Checksum(body, castagnoli), le.Uint32(data[len(data)-4:]); got != want {
 		return fmt.Errorf("body CRC mismatch")
 	}
+	s.post = data[postOff : postOff+postLen]
 
-	s.postOff = segHeaderLen + segDirEntLen*bucketCount
-	s.records = int(records)
+	// One pass in directory order: each bucket starts where the previous
+	// one ended, every record fits its bucket and holds valid positions,
+	// and the last bucket ends at the region's end.
 	s.dir = make([]dirEnt, bucketCount)
-	off := segHeaderLen
-	var prev dirEnt
+	s.byID = make(map[uint64]int32, min(entries, uint64(postLen/segRecHdrLen)))
+	var bits []uint32
+	off, walked := int64(0), uint64(0)
+	dir := data[segHeaderLen:postOff]
 	for i := range s.dir {
-		start, count := le.Uint64(s.data[off+16:]), le.Uint64(s.data[off+24:])
-		if start+count > records {
-			return fmt.Errorf("directory entry %d out of range", i)
-		}
-		d := dirEnt{
-			band:  le.Uint32(s.data[off:]),
-			key:   le.Uint64(s.data[off+8:]),
-			start: int32(start),
-			count: int32(count),
-		}
+		e := dir[i*segDirEntLen:]
+		d := dirEnt{band: le.Uint32(e), key: le.Uint64(e[8:])}
 		if d.band >= s.geo.bands {
 			return fmt.Errorf("directory entry %d names band %d of %d", i, d.band, s.geo.bands)
 		}
-		if i > 0 && (d.band < prev.band || (d.band == prev.band && d.key <= prev.key)) {
+		if i > 0 && (d.band < s.dir[i-1].band || (d.band == s.dir[i-1].band && d.key <= s.dir[i-1].key)) {
 			return fmt.Errorf("directory not sorted at entry %d", i)
 		}
-		s.dir[i] = d
-		prev = d
-		off += segDirEntLen
-	}
-
-	s.byID = make(map[uint64]int32, entries)
-	for r := 0; r < s.records; r++ {
-		id := le.Uint64(s.data[s.postOff+r*s.stride:])
-		if _, ok := s.byID[id]; !ok {
-			s.byID[id] = int32(r)
+		start, count := le.Uint64(e[16:]), le.Uint64(e[24:])
+		if start != uint64(off) {
+			return fmt.Errorf("directory entry %d starts at byte %d, previous bucket ends at %d", i, start, off)
 		}
+		d.start, d.count = int32(off), int32(count)
+		// Each record advances off by at least segRecHdrLen, so a forged
+		// count fails here within postLen/segRecHdrLen steps.
+		for r := uint64(0); r < count; r++ {
+			if postLen-off < segRecHdrLen || int64(le.Uint32(s.post[off+8:])) > (postLen-off-segRecHdrLen)/4 {
+				return fmt.Errorf("directory entry %d record %d overruns the postings region", i, r)
+			}
+			bits = s.RecordBits(int(off), bits)
+			if err := bloom.CheckPositions(s.geo.m, bits); err != nil {
+				return fmt.Errorf("directory entry %d record %d: %w", i, r, err)
+			}
+			id := le.Uint64(s.post[off:])
+			if _, ok := s.byID[id]; !ok {
+				s.byID[id] = int32(off)
+			}
+			off += segRecHdrLen + 4*int64(len(bits))
+		}
+		walked += count
+		s.dir[i] = d
+	}
+	if off != postLen {
+		return fmt.Errorf("buckets end at byte %d of a %d-byte postings region", off, postLen)
+	}
+	if walked != records {
+		return fmt.Errorf("record count mismatch: header says %d, directory holds %d", records, walked)
 	}
 	if uint64(len(s.byID)) != entries {
 		return fmt.Errorf("entry count mismatch: header says %d, postings hold %d", entries, len(s.byID))
@@ -309,10 +325,10 @@ func (s *Segment) parse() error {
 // Entries is the unique-id count of the segment.
 func (s *Segment) Entries() int { return len(s.byID) }
 
-// Lookup returns the first record ordinal holding id.
+// Lookup returns the offset of the first record holding id.
 func (s *Segment) Lookup(id uint64) (int, bool) {
-	rec, ok := s.byID[id]
-	return int(rec), ok
+	off, ok := s.byID[id]
+	return int(off), ok
 }
 
 // Bucket returns the postings list of (band, key), empty if the segment has
@@ -323,71 +339,61 @@ func (s *Segment) Bucket(band int, key uint64) Postings {
 		return d.band > uint32(band) || (d.band == uint32(band) && d.key >= key)
 	})
 	if i < len(s.dir) && s.dir[i].band == uint32(band) && s.dir[i].key == key {
-		return Postings{seg: s, start: int(s.dir[i].start), n: int(s.dir[i].count)}
+		d := &s.dir[i]
+		end := len(s.post)
+		if i+1 < len(s.dir) {
+			end = int(s.dir[i+1].start)
+		}
+		return Postings{seg: s, start: int(d.start), next: int(d.start), end: end, n: int(d.count)}
 	}
 	return Postings{}
 }
 
-// RecordWords returns the packed summary words of record rec — see
-// Postings.Words for the scratch contract.
-func (s *Segment) RecordWords(rec int, scratch []uint64) []uint64 {
-	return s.wordsAt(s.postOff+rec*s.stride+8, scratch)
+// RecordBits decodes the positions of the record at offset off into dst,
+// reusing its capacity, and returns them.
+func (s *Segment) RecordBits(off int, dst []uint32) []uint32 {
+	le := binary.LittleEndian
+	n := int(le.Uint32(s.post[off+8:]))
+	p := s.post[off+segRecHdrLen : off+segRecHdrLen+4*n]
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		dst[i] = le.Uint32(p[4*i:])
+	}
+	return dst
 }
 
 func (s *Segment) close() error { return s.mm.close() }
 
-// hostLittleEndian gates the zero-copy word view: on little-endian hosts
-// the on-disk word layout is the in-memory one.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// wordsAt returns the record's words as a []uint64. On little-endian hosts
-// this reinterprets the mapped bytes in place — the mmap base is page-
-// aligned (the fallback buffer is []uint64-backed) and off is always a
-// multiple of 8, so the view is aligned; scratch is untouched. Elsewhere it
-// decodes into scratch, which must have capacity for the segment's word
-// count.
-func (s *Segment) wordsAt(off int, scratch []uint64) []uint64 {
-	b := s.data[off : off+8*s.words]
-	if hostLittleEndian {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), s.words)
-	}
-	scratch = scratch[:s.words]
-	for i := range scratch {
-		scratch[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return scratch
-}
-
-// Postings is one bucket's postings list: a contiguous run of fixed-stride
-// records scanned sequentially. The zero value is an empty list.
+// Postings is one bucket's postings list: a contiguous run of records read
+// front to back. Next advances to the following record; ID and Bits read
+// the current one. The zero value is an empty list.
 type Postings struct {
-	seg   *Segment
-	start int
-	n     int
+	seg        *Segment
+	start, end int // byte range of the bucket in the postings region
+	cur, next  int // offsets of the current and the following record
+	n          int
 }
 
 // Len is the record count of the list.
-func (p Postings) Len() int { return p.n }
-
-// ID returns the photo id of record i.
-func (p Postings) ID(i int) uint64 {
-	return binary.LittleEndian.Uint64(p.seg.data[p.seg.postOff+(p.start+i)*p.seg.stride:])
-}
-
-// Words returns the packed summary words of record i, zero-copy where the
-// host allows (see wordsAt).
-func (p Postings) Words(i int, scratch []uint64) []uint64 {
-	return p.seg.wordsAt(p.seg.postOff+(p.start+i)*p.seg.stride+8, scratch)
-}
+func (p *Postings) Len() int { return p.n }
 
 // Bytes is the on-disk size of the list — what one sequential scan of the
 // bucket reads.
-func (p Postings) Bytes() int64 {
-	if p.seg == nil {
-		return 0
+func (p *Postings) Bytes() int64 { return int64(p.end - p.start) }
+
+// Next moves to the next record and reports whether there was one.
+func (p *Postings) Next() bool {
+	if p.next >= p.end {
+		return false
 	}
-	return int64(p.n) * int64(p.seg.stride)
+	p.cur = p.next
+	p.next += segRecHdrLen + 4*int(binary.LittleEndian.Uint32(p.seg.post[p.cur+8:]))
+	return true
 }
+
+// ID returns the photo id of the current record.
+func (p *Postings) ID() uint64 { return binary.LittleEndian.Uint64(p.seg.post[p.cur:]) }
+
+// Bits decodes the current record's positions into dst (see
+// Segment.RecordBits).
+func (p *Postings) Bits(dst []uint32) []uint32 { return p.seg.RecordBits(p.cur, dst) }

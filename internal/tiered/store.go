@@ -2,13 +2,13 @@
 // index. The hot tier (internal/core) keeps recent entries in the lock-free
 // epoch-published RAM view; this package holds everything migrated out of
 // it, laid out IVF-style on disk: each LSH band bucket maps to a postings
-// list of packed summaries in an immutable CRC'd segment file, opened
-// read-only with mmap and scanned sequentially per probed bucket. Because
-// postings carry the same packed word layout bloom.AndOrCount consumes and
-// are keyed by the same band keys the in-RAM index computes, a probe that
-// spills here collects exactly the candidates it would have collected had
-// the entries stayed resident — the foundation of the engine's tiered
-// byte-identity guarantee.
+// list of summaries in an immutable CRC'd segment file, opened read-only
+// with mmap and scanned sequentially per probed bucket. Because postings
+// carry the same sorted set-bit positions the hot tier stores, are scored
+// by the same kernel, and are keyed by the same band keys the in-RAM index
+// computes, a probe that spills here collects and scores exactly the
+// candidates it would have collected had the entries stayed resident — the
+// foundation of the engine's tiered byte-identity guarantee.
 //
 // Durability is delegated to internal/store: segment files go through the
 // temp→fsync→rename→dirsync publish sequence, and the catalog — the
@@ -30,6 +30,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/fastrepro/fast/internal/bloom"
 	"github.com/fastrepro/fast/internal/failpoint"
 	"github.com/fastrepro/fast/internal/store"
 )
@@ -58,10 +59,9 @@ type Options struct {
 // Reads (View and everything hanging off it) are lock-free; mutations
 // serialize on mu and publish catalog-then-view.
 type Store struct {
-	opts  Options
-	geo   geometry
-	wordN int
-	cat   *store.Generations
+	opts Options
+	geo  geometry
+	cat  *store.Generations
 
 	mu      sync.Mutex
 	nextSeq uint64
@@ -121,7 +121,7 @@ func (v *View) Owns(id uint64, seg int) bool {
 	return ok && int(si) == seg
 }
 
-// Lookup resolves id to its owning segment and record ordinal.
+// Lookup resolves id to its owning segment and record offset.
 func (v *View) Lookup(id uint64) (*Segment, int, bool) {
 	if v == nil {
 		return nil, 0, false
@@ -131,11 +131,11 @@ func (v *View) Lookup(id uint64) (*Segment, int, bool) {
 		return nil, 0, false
 	}
 	seg := v.segs[si]
-	rec, ok := seg.byID[id]
+	off, ok := seg.Lookup(id)
 	if !ok {
 		return nil, 0, false
 	}
-	return seg, int(rec), true
+	return seg, off, true
 }
 
 // AppendIDs appends every live cold id to dst (unordered) and returns the
@@ -170,7 +170,6 @@ func Open(opts Options) (*Store, []string, error) {
 	s := &Store{
 		opts:    opts,
 		geo:     geo,
-		wordN:   geo.words(),
 		cat:     &store.Generations{Path: filepath.Join(opts.Dir, "catalog.fast"), Keep: opts.Keep},
 		tombs:   make(map[uint64]struct{}),
 		nextSeq: 1,
@@ -275,8 +274,8 @@ func (s *Store) AppendIDs(dst []uint64) []uint64 { return s.view.Load().AppendID
 func (s *Store) validateBatch(batch []Entry) error {
 	for i := range batch {
 		e := &batch[i]
-		if len(e.Words) != s.wordN {
-			return fmt.Errorf("tiered: photo %d carries %d summary words, geometry needs %d", e.ID, len(e.Words), s.wordN)
+		if err := bloom.CheckPositions(s.geo.m, e.Bits); err != nil {
+			return fmt.Errorf("tiered: photo %d: %w", e.ID, err)
 		}
 		if len(e.Keys) != int(s.geo.bands) {
 			return fmt.Errorf("tiered: photo %d carries %d band keys, geometry needs %d", e.ID, len(e.Keys), s.geo.bands)

@@ -1,20 +1,26 @@
 package tiered
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"github.com/fastrepro/fast/internal/bloom"
 	"github.com/fastrepro/fast/internal/failpoint"
 )
 
 var testOpts = Options{M: 256, K: 4, Bands: 4, SeedFP: 0xfa57fa57}
 
-// testEntry builds a deterministic entry for id: words and band keys are
-// pure functions of the id so reopened state can be checked value-for-value.
+// testEntry builds a deterministic entry for id: positions and band keys
+// are pure functions of the id so reopened state can be checked
+// value-for-value.
 func testEntry(opts Options, id uint64) Entry {
-	words := make([]uint64, int(opts.M+63)/64)
+	words := make([]uint64, bloom.PackedWords(opts.M))
 	for i := range words {
 		words[i] = id*0x9e3779b97f4a7c15 + uint64(i)
 	}
@@ -23,7 +29,7 @@ func testEntry(opts Options, id uint64) Entry {
 		// Small key space so buckets genuinely collide across entries.
 		keys[b] = uint64(b)<<32 | (id % 7)
 	}
-	return Entry{ID: id, Words: words, Keys: keys}
+	return Entry{ID: id, Bits: bloom.AppendBits(nil, words), Keys: keys}
 }
 
 func openTest(t *testing.T, dir string) *Store {
@@ -50,34 +56,33 @@ func migrateIDs(t *testing.T, s *Store, ids ...uint64) {
 }
 
 // assertLive checks the view scores exactly want: every live id is found in
-// its buckets with its exact words, and nothing else passes the owner check.
+// its buckets with its exact positions, and nothing else passes the owner
+// check.
 func assertLive(t *testing.T, s *Store, want ...uint64) {
 	t.Helper()
 	v := s.View()
 	if v.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", v.Len(), len(want))
 	}
-	scratch := make([]uint64, s.wordN)
+	var scratch []uint32
 	for _, id := range want {
 		if !v.Contains(id) {
 			t.Fatalf("Contains(%d) = false", id)
 		}
 		e := testEntry(s.opts, id)
-		// Every band bucket for the id must yield the id with exact words
-		// from exactly one owning segment.
+		// Every band bucket for the id must yield the id with exact
+		// positions from exactly one owning segment.
 		for b, key := range e.Keys {
 			found := false
 			for si, seg := range v.Segments() {
 				p := seg.Bucket(b, key)
-				for i := 0; i < p.Len(); i++ {
-					if p.ID(i) != id || !v.Owns(id, si) {
+				for p.Next() {
+					if p.ID() != id || !v.Owns(id, si) {
 						continue
 					}
-					got := p.Words(i, scratch)
-					for wi := range got {
-						if got[wi] != e.Words[wi] {
-							t.Fatalf("id %d band %d word %d = %#x, want %#x", id, b, wi, got[wi], e.Words[wi])
-						}
+					scratch = p.Bits(scratch)
+					if !slices.Equal(scratch, e.Bits) {
+						t.Fatalf("id %d band %d positions = %v, want %v", id, b, scratch, e.Bits)
 					}
 					found = true
 				}
@@ -86,15 +91,12 @@ func assertLive(t *testing.T, s *Store, want ...uint64) {
 				t.Fatalf("id %d not found in band %d bucket %#x", id, b, key)
 			}
 		}
-		seg, rec, ok := v.Lookup(id)
+		seg, off, ok := v.Lookup(id)
 		if !ok {
 			t.Fatalf("Lookup(%d) missed", id)
 		}
-		got := seg.RecordWords(rec, scratch)
-		for wi := range got {
-			if got[wi] != e.Words[wi] {
-				t.Fatalf("Lookup(%d) word %d = %#x, want %#x", id, wi, got[wi], e.Words[wi])
-			}
+		if scratch = seg.RecordBits(off, scratch); !slices.Equal(scratch, e.Bits) {
+			t.Fatalf("Lookup(%d) positions = %v, want %v", id, scratch, e.Bits)
 		}
 	}
 }
@@ -122,9 +124,14 @@ func TestMigrateRejects(t *testing.T) {
 		t.Fatal("re-migrating a live id should fail")
 	}
 	bad := testEntry(s.opts, 2)
-	bad.Words = bad.Words[:1]
+	bad.Bits = append(bad.Bits, s.opts.M)
 	if err := s.Migrate([]Entry{bad}); err == nil {
-		t.Fatal("wrong word count should fail")
+		t.Fatal("a position at or above m should fail")
+	}
+	bad = testEntry(s.opts, 2)
+	bad.Bits[0], bad.Bits[1] = bad.Bits[1], bad.Bits[0]
+	if err := s.Migrate([]Entry{bad}); err == nil {
+		t.Fatal("unsorted positions should fail")
 	}
 	bad = testEntry(s.opts, 2)
 	bad.Keys = bad.Keys[:1]
@@ -195,9 +202,9 @@ func TestReplaceAllCompaction(t *testing.T) {
 			t.Fatalf("old segment file %s still on disk", seg.path)
 		}
 		p := seg.Bucket(0, 1)
-		for i := 0; i < p.Len(); i++ {
-			_ = p.ID(i)
-			_ = p.Words(i, make([]uint64, s.wordN))
+		for p.Next() {
+			_ = p.ID()
+			_ = p.Bits(nil)
 		}
 	}
 
@@ -266,6 +273,44 @@ func TestCorruptSegmentFailsOpen(t *testing.T) {
 	opts.Dir = dir
 	if _, _, err := Open(opts); err == nil {
 		t.Fatal("Open over a corrupt segment should fail")
+	}
+}
+
+// TestOpenRefusesVersion1Segment: a segment in the retired packed-word
+// format (version 1) fails Open with an error naming its version, and the
+// failed load sweeps nothing — the segment and the catalog naming it stay
+// on disk.
+func TestOpenRefusesVersion1Segment(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir)
+	migrateIDs(t, s, 1, 2, 3)
+	seg := s.View().Segments()[0].path
+	s.Close()
+
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[8:], 1)
+	binary.LittleEndian.PutUint32(raw[56:], crc32.Checksum(raw[:56], castagnoli))
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	listDir := func() []string {
+		names, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	before := listDir()
+	opts := testOpts
+	opts.Dir = dir
+	if _, _, err := Open(opts); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Open over a version-1 segment: err = %v, want one naming version 1", err)
+	}
+	if after := listDir(); !slices.Equal(after, before) {
+		t.Fatalf("files after the refused open = %v, want %v", after, before)
 	}
 }
 
@@ -338,4 +383,78 @@ func TestMigrateFailpointCrashRecovery(t *testing.T) {
 			t.Fatalf("unreferenced segment file %s", m)
 		}
 	}
+}
+
+// reseal recomputes a segment image's header and body CRCs, so a fuzzed
+// image reaches the structural checks instead of failing a checksum first.
+func reseal(b []byte) {
+	if len(b) < segHeaderLen+4 {
+		return
+	}
+	le := binary.LittleEndian
+	le.PutUint32(b[56:], crc32.Checksum(b[:56], castagnoli))
+	le.PutUint32(b[len(b)-4:], crc32.Checksum(b[segHeaderLen:len(b)-4], castagnoli))
+}
+
+// FuzzOpenSegment feeds arbitrary (CRC-resealed) segment images to the
+// segment reader — the validation openSegment runs over the mapped file,
+// called on the bytes directly so an execution does no file I/O. Reading
+// must never panic, and every segment it accepts must read back in bounds:
+// each bucket yields exactly its record count, every record's positions
+// pass bloom.CheckPositions, and every id resolves to a record holding that
+// id.
+func FuzzOpenSegment(f *testing.F) {
+	dir := f.TempDir()
+	geo := geometry{m: testOpts.M, k: uint32(testOpts.K), bands: uint32(testOpts.Bands), seedFP: testOpts.SeedFP}
+	path := filepath.Join(dir, "seed"+segSuffix)
+	// Few short records keep the seeds small, so the fuzzer's input
+	// minimization stays cheap; ids 1 and 8 share every bucket.
+	batch := []Entry{testEntry(testOpts, 1), testEntry(testOpts, 2), testEntry(testOpts, 8)}
+	batch[0].Bits = []uint32{3, 70, 255}
+	batch[1].Bits = []uint32{0}
+	batch[2].Bits = nil
+	if _, err := writeSegment(path, geo, batch); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	flipped := slices.Clone(valid) // TestCorruptSegmentFailsOpen's case
+	flipped[len(flipped)-10] ^= 0xff
+	f.Add(flipped)
+	f.Add(valid[:len(valid)-7])
+	f.Add(valid[:segHeaderLen])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = slices.Clone(data)
+		reseal(data)
+		seg := &Segment{geo: geo}
+		if seg.parse(data) != nil {
+			return
+		}
+		var bits []uint32
+		for _, d := range seg.dir {
+			pl := seg.Bucket(int(d.band), d.key)
+			n := 0
+			for pl.Next() {
+				n++
+				if bits = pl.Bits(bits); bloom.CheckPositions(geo.m, bits) != nil {
+					t.Fatalf("bucket (%d, %#x) record %d: positions %v", d.band, d.key, n, bits)
+				}
+			}
+			if n != pl.Len() {
+				t.Fatalf("bucket (%d, %#x) yields %d records, directory says %d", d.band, d.key, n, pl.Len())
+			}
+		}
+		for id, off := range seg.byID {
+			if got := binary.LittleEndian.Uint64(seg.post[off:]); got != id {
+				t.Fatalf("id %d resolves to a record of id %d", id, got)
+			}
+			if bits = seg.RecordBits(int(off), bits); bloom.CheckPositions(geo.m, bits) != nil {
+				t.Fatalf("id %d: positions %v", id, bits)
+			}
+		}
+	})
 }
