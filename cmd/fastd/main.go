@@ -81,7 +81,6 @@ func main() {
 		placeEpoch  = flag.Uint64("placement-epoch", 0, "placement ring epoch (live ring updates must advance past it)")
 		replicas    = flag.Int("replicas", 1, "cluster shard mode: replica factor n — this shard keeps every photo whose n-owner set it belongs to")
 		peers       = flag.String("peers", "", "cluster shard mode: comma-separated peer shard base URLs, indexed by shard number (enables live ring migration)")
-		scratchDir  = flag.String("migrate-scratch", "", "scratch directory for chunk-diff peer fetches during ring migration (empty = stream full snapshots)")
 		groupExpand = flag.Int("group-expand", 0, "engine group expansion for synthetic bootstraps (0 = engine default, negative disables; forced off in shard mode)")
 		coldDir     = flag.String("cold-dir", "", "directory for the disk-resident cold index tier (empty = all-RAM engine); live ring updates do not support a cold tier")
 		coldWM      = flag.Int("cold-watermark", 0, "hot-tier entry bound: the background compactor migrates entries beyond it to the cold tier (0 = manual migration only)")
@@ -139,7 +138,7 @@ func main() {
 		shardCfg = &server.ShardConfig{Index: *shardIndex, Ring: ringCfg, Replicas: *replicas}
 		if *peers != "" {
 			urls := strings.Split(*peers, ",")
-			shardCfg.Fetcher = replica.NewFetcher(urls, *scratchDir)
+			shardCfg.Fetcher = replica.NewFetcher(urls)
 		}
 	}
 	// Cache tiers are serving-side configuration, not index contents, so they

@@ -49,8 +49,8 @@ func TestSIFTBuildAndSearch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if st.Photos != len(ds.Photos) || s.Len() != len(ds.Photos) {
-		t.Fatalf("built %d/%d photos", st.Photos, s.Len())
+	if st.Photos != len(ds.Photos) || len(s.records) != len(ds.Photos) {
+		t.Fatalf("built %d/%d photos", st.Photos, len(s.records))
 	}
 	if st.Descriptors == 0 || st.FeatureTime <= 0 {
 		t.Errorf("stats missing: %+v", st)
@@ -118,7 +118,7 @@ func TestPCASIFTBuildAndSearch(t *testing.T) {
 	if st.Photos != len(ds.Photos) {
 		t.Fatalf("built %d photos", st.Photos)
 	}
-	if ev := p.ExplainedVariance(); ev <= 0 || ev > 1+1e-9 {
+	if ev := p.pca.ExplainedVariance(); ev <= 0 || ev > 1+1e-9 {
 		t.Errorf("explained variance %v", ev)
 	}
 	// PCA-SIFT's index must be smaller than SIFT's (Table IV ordering).
@@ -166,8 +166,8 @@ func TestRNPEBuildAndSearch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if st.Photos != len(ds.Photos) || r.Len() != len(ds.Photos) {
-		t.Fatalf("built %d/%d", st.Photos, r.Len())
+	if st.Photos != len(ds.Photos) || len(r.byID) != len(ds.Photos) {
+		t.Fatalf("built %d/%d", st.Photos, len(r.byID))
 	}
 
 	qs, _ := ds.Queries(6, 5)

@@ -205,15 +205,4 @@ func (p *PCASIFT) IndexBytes() int64 {
 // SimCost implements core.Pipeline.
 func (p *PCASIFT) SimCost() core.SimCost { return p.sim }
 
-// Len returns the number of indexed photos.
-func (p *PCASIFT) Len() int { return len(p.records) }
-
-// ExplainedVariance reports the PCA basis quality (diagnostics).
-func (p *PCASIFT) ExplainedVariance() float64 {
-	if p.pca == nil {
-		return 0
-	}
-	return p.pca.ExplainedVariance()
-}
-
 var _ core.Pipeline = (*PCASIFT)(nil)

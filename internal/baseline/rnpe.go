@@ -250,10 +250,4 @@ func (r *RNPE) IndexBytes() int64 { return r.tags.TotalBytes() }
 // SimCost implements core.Pipeline.
 func (r *RNPE) SimCost() core.SimCost { return r.sim }
 
-// Len returns the number of indexed photos.
-func (r *RNPE) Len() int { return len(r.byID) }
-
-// ProbeCount exposes the R-tree's traversal counter (O(log n) evidence).
-func (r *RNPE) ProbeCount() int { return r.tree.ProbeCount }
-
 var _ core.Pipeline = (*RNPE)(nil)

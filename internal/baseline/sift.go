@@ -199,9 +199,6 @@ func (s *SIFT) IndexBytes() int64 {
 // SimCost implements core.Pipeline.
 func (s *SIFT) SimCost() core.SimCost { return s.sim }
 
-// Len returns the number of indexed photos.
-func (s *SIFT) Len() int { return len(s.records) }
-
 // sortResults orders by descending score then ascending ID.
 func sortResults(rs []core.SearchResult) {
 	sort.Slice(rs, func(i, j int) bool {

@@ -11,9 +11,7 @@
 package bloom
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -23,7 +21,6 @@ type Filter struct {
 	m    uint32 // number of bits
 	k    int    // number of hash functions
 	bits []uint64
-	n    int // items added
 }
 
 // New returns a Bloom filter with m bits and k hash functions.
@@ -34,33 +31,6 @@ func New(m uint32, k int) (*Filter, error) {
 	}
 	return &Filter{m: m, k: k, bits: make([]uint64, (m+63)/64)}, nil
 }
-
-// NewForCapacity sizes a filter for n items at the target false-positive
-// rate p using the standard m = -n ln p / (ln 2)^2 and k = (m/n) ln 2
-// formulas.
-func NewForCapacity(n int, p float64) (*Filter, error) {
-	if n <= 0 || p <= 0 || p >= 1 {
-		return nil, fmt.Errorf("bloom: invalid capacity n=%d p=%v", n, p)
-	}
-	m := uint32(math.Ceil(-float64(n) * math.Log(p) / (math.Ln2 * math.Ln2)))
-	if m < 64 {
-		m = 64
-	}
-	k := int(math.Round(float64(m) / float64(n) * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	return New(m, k)
-}
-
-// M returns the number of bits in the filter.
-func (f *Filter) M() uint32 { return f.m }
-
-// K returns the number of hash functions.
-func (f *Filter) K() int { return f.k }
-
-// Count returns the number of items added.
-func (f *Filter) Count() int { return f.n }
 
 // hash2 derives two independent 32-bit hashes of item via a 64-bit
 // mix (SplitMix64 finalizer).
@@ -86,11 +56,7 @@ func (f *Filter) Add(item uint64) {
 		b := f.bitFor(item, i)
 		f.bits[b/64] |= 1 << (b % 64)
 	}
-	f.n++
 }
-
-// AddBytes hashes an arbitrary byte string into the filter.
-func (f *Filter) AddBytes(p []byte) { f.Add(fnv64(p)) }
 
 // Contains reports whether item may be in the filter (no false negatives;
 // false positives at the configured rate).
@@ -104,9 +70,6 @@ func (f *Filter) Contains(item uint64) bool {
 	return true
 }
 
-// ContainsBytes reports whether the byte string may be in the filter.
-func (f *Filter) ContainsBytes(p []byte) bool { return f.Contains(fnv64(p)) }
-
 // PopCount returns the number of set bits.
 func (f *Filter) PopCount() int {
 	var c int
@@ -115,13 +78,6 @@ func (f *Filter) PopCount() int {
 	}
 	return c
 }
-
-// FillRatio returns the fraction of set bits.
-func (f *Filter) FillRatio() float64 { return float64(f.PopCount()) / float64(f.m) }
-
-// EstimatedFPRate returns the expected false-positive probability given the
-// current fill: (fill)^k.
-func (f *Filter) EstimatedFPRate() float64 { return math.Pow(f.FillRatio(), float64(f.k)) }
 
 // HammingDistance returns the number of differing bits between two filters
 // of identical geometry. It returns an error on geometry mismatch.
@@ -150,18 +106,6 @@ func Jaccard(a, b *Filter) (float64, error) {
 		return 1, nil
 	}
 	return float64(inter) / float64(union), nil
-}
-
-// Union ORs other into f in place. It returns an error on geometry mismatch.
-func (f *Filter) Union(other *Filter) error {
-	if f.m != other.m || f.k != other.k {
-		return fmt.Errorf("bloom: geometry mismatch")
-	}
-	for i := range f.bits {
-		f.bits[i] |= other.bits[i]
-	}
-	f.n += other.n
-	return nil
 }
 
 // BitVector returns the filter's bits as a float64 vector (one component per
@@ -205,22 +149,4 @@ func fnv64(p []byte) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// HashVector quantizes a float vector into a uint64 feature token by
-// bucketing each component at the given granularity and FNV-hashing the
-// result. Similar vectors quantize to identical tokens, which is what makes
-// Bloom summaries of similar images overlap.
-func HashVector(v []float64, granularity float64) uint64 {
-	if granularity <= 0 {
-		granularity = 0.25
-	}
-	buf := make([]byte, 0, len(v)*2)
-	var scratch [2]byte
-	for _, x := range v {
-		q := int16(math.Round(x / granularity))
-		binary.LittleEndian.PutUint16(scratch[:], uint16(q))
-		buf = append(buf, scratch[:]...)
-	}
-	return fnv64(buf)
 }

@@ -61,31 +61,6 @@ func (s *Sparse) Contains(b uint32) bool {
 	return i < len(s.Bits) && s.Bits[i] == b
 }
 
-// HammingDistanceSparse computes the Hamming distance between two sparse
-// summaries by merging their sorted bit lists, without densifying.
-func HammingDistanceSparse(a, b *Sparse) (int, error) {
-	if a.M != b.M {
-		return 0, fmt.Errorf("bloom: geometry mismatch m=%d vs m=%d", a.M, b.M)
-	}
-	i, j, d := 0, 0, 0
-	for i < len(a.Bits) && j < len(b.Bits) {
-		switch {
-		case a.Bits[i] == b.Bits[j]:
-			i++
-			j++
-		case a.Bits[i] < b.Bits[j]:
-			d++
-			i++
-		default:
-			d++
-			j++
-		}
-	}
-	d += len(a.Bits) - i
-	d += len(b.Bits) - j
-	return d, nil
-}
-
 // JaccardSparse computes |A∩B|/|A∪B| over the sparse bit lists.
 func JaccardSparse(a, b *Sparse) (float64, error) {
 	if a.M != b.M {

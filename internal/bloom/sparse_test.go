@@ -58,27 +58,6 @@ func TestSparseSizeBytesMuchSmallerThanDense(t *testing.T) {
 	}
 }
 
-func TestSparseHammingMatchesDense(t *testing.T) {
-	a, _ := New(1024, 5)
-	b, _ := New(1024, 5)
-	for i := uint64(0); i < 40; i++ {
-		a.Add(i)
-		if i%3 == 0 {
-			b.Add(i)
-		} else {
-			b.Add(i + 1000)
-		}
-	}
-	want, _ := HammingDistance(a, b)
-	got, err := HammingDistanceSparse(ToSparse(a), ToSparse(b))
-	if err != nil {
-		t.Fatalf("HammingDistanceSparse: %v", err)
-	}
-	if got != want {
-		t.Errorf("sparse hamming %d != dense %d", got, want)
-	}
-}
-
 func TestSparseJaccardMatchesDense(t *testing.T) {
 	a, _ := New(2048, 4)
 	b, _ := New(2048, 4)
@@ -99,9 +78,6 @@ func TestSparseJaccardMatchesDense(t *testing.T) {
 func TestSparseGeometryMismatch(t *testing.T) {
 	a := &Sparse{M: 64, K: 2}
 	b := &Sparse{M: 128, K: 2}
-	if _, err := HammingDistanceSparse(a, b); err == nil {
-		t.Error("sparse hamming geometry mismatch should fail")
-	}
 	if _, err := JaccardSparse(a, b); err == nil {
 		t.Error("sparse jaccard geometry mismatch should fail")
 	}

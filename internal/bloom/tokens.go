@@ -2,28 +2,22 @@ package bloom
 
 import "math"
 
-// SubVectorTokens converts a descriptor vector into a set of feature tokens
-// using product-quantization-style sub-vectors: the vector is split into
-// groups of sub consecutive components, each group is quantized at the given
-// granularity, and each quantized group is hashed into one token tagged with
-// its group index.
+// AppendSubVectorTokens converts a descriptor vector into a set of feature
+// tokens using product-quantization-style sub-vectors, appended to dst: the
+// vector is split into groups of sub consecutive components, each group is
+// quantized at the given granularity, and each quantized group is hashed
+// into one token tagged with its group index. Callers that summarize many
+// descriptors reuse one token buffer (dst[:0]) across calls instead of
+// allocating per descriptor.
 //
-// Compared with hashing the whole vector at once (HashVector), sub-vector
-// tokens are far more robust to perturbation: a single borderline component
-// only invalidates its own group's token, so two descriptors that agree on
-// most components still share most tokens. All-zero groups are suppressed
-// (see below). Calibration on the synthetic corpus (sub=16,
-// granularity=0.5, SIFT descriptors, mild perturbation) gives same-scene
-// summaries an average Jaccard similarity of ~0.44 versus ~0.10 across
-// scenes — the separation the Summarization module relies on.
-func SubVectorTokens(v []float64, sub int, granularity float64) []uint64 {
-	return AppendSubVectorTokens(nil, v, sub, granularity)
-}
-
-// AppendSubVectorTokens appends the sub-vector tokens of v to dst and
-// returns the extended slice. It is the allocation-free form of
-// SubVectorTokens: callers that summarize many descriptors reuse one token
-// buffer (dst[:0]) across calls instead of allocating per descriptor.
+// Compared with hashing the whole vector at once, sub-vector tokens are far
+// more robust to perturbation: a single borderline component only
+// invalidates its own group's token, so two descriptors that agree on most
+// components still share most tokens. All-zero groups are suppressed (see
+// below). Calibration on the synthetic corpus (sub=16, granularity=0.5,
+// SIFT descriptors, mild perturbation) gives same-scene summaries an
+// average Jaccard similarity of ~0.44 versus ~0.10 across scenes — the
+// separation the Summarization module relies on.
 func AppendSubVectorTokens(dst []uint64, v []float64, sub int, granularity float64) []uint64 {
 	if sub <= 0 {
 		sub = 16

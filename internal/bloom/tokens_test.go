@@ -6,8 +6,8 @@ import (
 
 func TestSubVectorTokensDeterministic(t *testing.T) {
 	v := []float64{0.6, -0.3, 0.1, 0.9, 0.0, 0.0, 0.7, 0.2}
-	a := SubVectorTokens(v, 4, 0.5)
-	b := SubVectorTokens(v, 4, 0.5)
+	a := AppendSubVectorTokens(nil, v, 4, 0.5)
+	b := AppendSubVectorTokens(nil, v, 4, 0.5)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -21,12 +21,12 @@ func TestSubVectorTokensDeterministic(t *testing.T) {
 func TestSubVectorTokensSkipsZeroGroups(t *testing.T) {
 	// First group all below granularity/2 -> suppressed; second informative.
 	v := []float64{0.1, 0.1, 0.1, 0.1, 0.9, 0.9, 0.9, 0.9}
-	toks := SubVectorTokens(v, 4, 0.5)
+	toks := AppendSubVectorTokens(nil, v, 4, 0.5)
 	if len(toks) != 1 {
 		t.Fatalf("got %d tokens, want 1 (zero group suppressed)", len(toks))
 	}
 	all := []float64{0.01, 0.01, 0.01, 0.01}
-	if toks := SubVectorTokens(all, 4, 0.5); len(toks) != 0 {
+	if toks := AppendSubVectorTokens(nil, all, 4, 0.5); len(toks) != 0 {
 		t.Errorf("all-zero vector emitted %d tokens", len(toks))
 	}
 }
@@ -39,8 +39,8 @@ func TestSubVectorTokensPartialRobustness(t *testing.T) {
 	}
 	w := append([]float64(nil), v...)
 	w[5] = 1.4 // crosses a quantization boundary
-	a := SubVectorTokens(v, 8, 0.5)
-	b := SubVectorTokens(w, 8, 0.5)
+	a := AppendSubVectorTokens(nil, v, 8, 0.5)
+	b := AppendSubVectorTokens(nil, w, 8, 0.5)
 	if len(a) != 4 || len(b) != 4 {
 		t.Fatalf("token counts %d, %d; want 4", len(a), len(b))
 	}
@@ -58,7 +58,7 @@ func TestSubVectorTokensPartialRobustness(t *testing.T) {
 func TestSubVectorTokensGroupTagging(t *testing.T) {
 	// The same values in different groups must yield different tokens.
 	v := []float64{0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9}
-	toks := SubVectorTokens(v, 4, 0.5)
+	toks := AppendSubVectorTokens(nil, v, 4, 0.5)
 	if len(toks) != 2 {
 		t.Fatalf("got %d tokens, want 2", len(toks))
 	}
@@ -73,7 +73,7 @@ func TestSubVectorTokensDefaults(t *testing.T) {
 		v[i] = 1
 	}
 	// sub<=0 and granularity<=0 must fall back to defaults, not panic.
-	toks := SubVectorTokens(v, 0, 0)
+	toks := AppendSubVectorTokens(nil, v, 0, 0)
 	if len(toks) != 3 { // ceil(40/16)
 		t.Errorf("default sub produced %d tokens, want 3", len(toks))
 	}
@@ -132,7 +132,7 @@ func TestSummarizeNamedSliceType(t *testing.T) {
 
 func TestAppendSubVectorTokensReusesDst(t *testing.T) {
 	v := []float64{0.6, -0.3, 0.1, 0.9, 0.7, 0.2, 0.8, 0.4}
-	want := SubVectorTokens(v, 4, 0.5)
+	want := AppendSubVectorTokens(nil, v, 4, 0.5)
 	dst := make([]uint64, 0, 8)
 	got := AppendSubVectorTokens(dst, v, 4, 0.5)
 	if len(got) != len(want) {

@@ -63,9 +63,9 @@ type paddedShard[V any] struct {
 }
 
 // Cache is a sharded LRU with per-key singleflight. The zero value is not
-// usable; construct with New. A nil *Cache is a valid "disabled" cache for
-// the read-only methods (Get misses, Len/Capacity/Stats are zero), which
-// lets callers keep one code path for cache-on and cache-off.
+// usable; construct with New. A nil *Cache is a valid "disabled" cache
+// (GetOrCompute always computes, Stats is zero), which lets callers keep one
+// code path for cache-on and cache-off.
 type Cache[V any] struct {
 	shards []paddedShard[V]
 	mask   uint64
@@ -113,36 +113,6 @@ func (c *Cache[V]) shardFor(k Key) *shard[V] {
 	return &c.shards[k.Lo&c.mask].shard
 }
 
-// Get returns the cached value for k, bumping its recency on a hit.
-func (c *Cache[V]) Get(k Key) (V, bool) {
-	var zero V
-	if c == nil {
-		return zero, false
-	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n, ok := s.items[k]; ok {
-		s.moveToFront(n)
-		s.hits++
-		return n.val, true
-	}
-	s.misses++
-	return zero, false
-}
-
-// Add stores v under k (updating in place if present), evicting from the
-// cold end beyond the shard's capacity.
-func (c *Cache[V]) Add(k Key, v V) {
-	if c == nil {
-		return
-	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addLocked(k, v)
-}
-
 // GetOrCompute returns the cached value for k, computing and storing it via
 // fn on a miss. Concurrent misses on the same key run fn once: the first
 // caller computes (without holding the shard lock), the rest wait and share
@@ -174,17 +144,15 @@ func (c *Cache[V]) GetOrCompute(k Key, fn func() (V, error)) (v V, hit bool, err
 	s.mu.Unlock()
 
 	s.lead(k, cl, fn)
-	if cl.err == nil {
-		s.mu.Lock()
-		s.addLocked(k, cl.val)
-		s.mu.Unlock()
-	}
 	return cl.val, false, cl.err
 }
 
 // lead runs fn as the singleflight leader for k, publishing the outcome to
 // waiters and releasing the in-flight slot even if fn panics — otherwise a
-// panicking compute would strand every waiter forever.
+// panicking compute would strand every waiter forever. A successful value
+// is stored in the same critical section that releases the slot, so a
+// caller arriving in between finds the entry rather than starting a second
+// compute.
 func (s *shard[V]) lead(k Key, cl *call[V], fn func() (V, error)) {
 	completed := false
 	defer func() {
@@ -192,40 +160,15 @@ func (s *shard[V]) lead(k Key, cl *call[V], fn func() (V, error)) {
 			cl.err = fmt.Errorf("cache: compute for key %016x%016x panicked", k.Hi, k.Lo)
 		}
 		s.mu.Lock()
+		if cl.err == nil {
+			s.addLocked(k, cl.val)
+		}
 		delete(s.inflight, k)
 		s.mu.Unlock()
 		close(cl.done)
 	}()
 	cl.val, cl.err = fn()
 	completed = true
-}
-
-// Len returns the current number of live entries.
-func (c *Cache[V]) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i].shard
-		s.mu.Lock()
-		n += len(s.items)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Capacity returns the configured entry bound (summed over shards, so it
-// may round up slightly from the New argument).
-func (c *Cache[V]) Capacity() int {
-	if c == nil {
-		return 0
-	}
-	total := 0
-	for i := range c.shards {
-		total += c.shards[i].capacity
-	}
-	return total
 }
 
 // Stats sums the per-shard counters.

@@ -11,21 +11,34 @@ import (
 
 func key(i int) Key { return ImageKey(i, 1, nil) }
 
+var errAbsent = errors.New("absent")
+
+// get looks k up without storing anything on a miss: a compute that fails
+// is never cached, so GetOrCompute reduces to a recency-bumping lookup.
+func get[V any](c *Cache[V], k Key) (V, bool) {
+	v, hit, _ := c.GetOrCompute(k, func() (V, error) {
+		var zero V
+		return zero, errAbsent
+	})
+	return v, hit
+}
+
+// add stores v under k when k is absent.
+func add[V any](c *Cache[V], k Key, v V) {
+	c.GetOrCompute(k, func() (V, error) { return v, nil })
+}
+
 func TestGetAddRoundTrip(t *testing.T) {
 	c := New[string](64)
-	if _, ok := c.Get(key(1)); ok {
+	if _, ok := get(c, key(1)); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.Add(key(1), "one")
-	v, ok := c.Get(key(1))
+	add(c, key(1), "one")
+	v, ok := get(c, key(1))
 	if !ok || v != "one" {
 		t.Fatalf("Get = %q, %v; want \"one\", true", v, ok)
 	}
-	c.Add(key(1), "uno") // update in place
-	if v, _ := c.Get(key(1)); v != "uno" {
-		t.Fatalf("updated Get = %q, want \"uno\"", v)
-	}
-	if n := c.Len(); n != 1 {
+	if n := c.Stats().Entries; n != 1 {
 		t.Fatalf("Len = %d, want 1", n)
 	}
 }
@@ -37,12 +50,12 @@ func TestLRUEviction(t *testing.T) {
 	if len(c.shards) != 1 {
 		t.Fatalf("capacity-1 cache built %d shards, want 1", len(c.shards))
 	}
-	c.Add(key(1), 1)
-	c.Add(key(2), 2) // evicts 1
-	if _, ok := c.Get(key(1)); ok {
+	add(c, key(1), 1)
+	add(c, key(2), 2) // evicts 1
+	if _, ok := get(c, key(1)); ok {
 		t.Fatal("evicted entry still present")
 	}
-	if v, ok := c.Get(key(2)); !ok || v != 2 {
+	if v, ok := get(c, key(2)); !ok || v != 2 {
 		t.Fatal("most recent entry missing after eviction")
 	}
 	st := c.Stats()
@@ -59,16 +72,16 @@ func TestLRURecencyOrder(t *testing.T) {
 	if len(c.shards) != 1 {
 		t.Skipf("capacity 3 spread over %d shards; recency order not observable", len(c.shards))
 	}
-	c.Add(key(1), 1)
-	c.Add(key(2), 2)
-	c.Add(key(3), 3)
-	c.Get(key(1))    // 1 is now hottest; 2 is coldest
-	c.Add(key(4), 4) // evicts 2
-	if _, ok := c.Get(key(2)); ok {
+	add(c, key(1), 1)
+	add(c, key(2), 2)
+	add(c, key(3), 3)
+	get(c, key(1))    // 1 is now hottest; 2 is coldest
+	add(c, key(4), 4) // evicts 2
+	if _, ok := get(c, key(2)); ok {
 		t.Fatal("least-recently-used entry survived eviction")
 	}
 	for _, k := range []int{1, 3, 4} {
-		if _, ok := c.Get(key(k)); !ok {
+		if _, ok := get(c, key(k)); !ok {
 			t.Fatalf("entry %d wrongly evicted", k)
 		}
 	}
@@ -78,10 +91,10 @@ func TestCapacityBound(t *testing.T) {
 	const capacity = 64
 	c := New[int](capacity)
 	for i := 0; i < 10*capacity; i++ {
-		c.Add(key(i), i)
+		add(c, key(i), i)
 	}
-	if n := c.Len(); n > c.Capacity() {
-		t.Fatalf("Len = %d exceeds capacity %d", n, c.Capacity())
+	if st := c.Stats(); st.Entries > st.Capacity {
+		t.Fatalf("Len = %d exceeds capacity %d", st.Entries, st.Capacity)
 	}
 }
 
@@ -173,15 +186,15 @@ func TestLeaderPanicReleasesWaiters(t *testing.T) {
 
 func TestNilCacheIsDisabled(t *testing.T) {
 	var c *Cache[int]
-	if _, ok := c.Get(key(1)); ok {
+	if _, ok := get(c, key(1)); ok {
 		t.Fatal("nil cache hit")
 	}
-	c.Add(key(1), 1) // must not panic
+	add(c, key(1), 1) // must not panic
 	v, hit, err := c.GetOrCompute(key(1), func() (int, error) { return 3, nil })
 	if err != nil || hit || v != 3 {
 		t.Fatalf("nil GetOrCompute = %d, %v, %v", v, hit, err)
 	}
-	if c.Len() != 0 || c.Capacity() != 0 || c.Stats() != (Stats{}) {
+	if c.Stats() != (Stats{}) {
 		t.Fatal("nil cache reported non-zero state")
 	}
 }
@@ -238,9 +251,9 @@ func TestConcurrentMixedUse(t *testing.T) {
 				k := key(i % 50)
 				switch i % 3 {
 				case 0:
-					c.Add(k, fmt.Sprintf("g%d-%d", g, i))
+					add(c, k, fmt.Sprintf("g%d-%d", g, i))
 				case 1:
-					c.Get(k)
+					get(c, k)
 				default:
 					c.GetOrCompute(k, func() (string, error) { return "computed", nil })
 				}
@@ -248,7 +261,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > c.Capacity() {
-		t.Fatalf("Len %d exceeded capacity %d under concurrency", c.Len(), c.Capacity())
+	if st := c.Stats(); st.Entries > st.Capacity {
+		t.Fatalf("Len %d exceeded capacity %d under concurrency", st.Entries, st.Capacity)
 	}
 }

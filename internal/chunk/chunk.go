@@ -1,5 +1,5 @@
-// Package chunk implements fixed-size and content-defined chunking with
-// rolling-hash boundaries plus chunk fingerprinting. It is the substrate of
+// Package chunk implements content-defined chunking with rolling-hash
+// boundaries plus chunk fingerprinting. It is the substrate of
 // the "chunk-based transmission scheme" that Figure 8 compares FAST
 // against: the baseline uploads every image as deduplicated chunks, so its
 // savings come only from byte-identical regions, whereas FAST's
@@ -29,25 +29,6 @@ func Fingerprint(p []byte) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// Fixed splits data into fixed-size chunks (the last may be short).
-// It returns an error for non-positive size.
-func Fixed(data []byte, size int) ([]Chunk, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("chunk: size must be positive, got %d", size)
-	}
-	var out []Chunk
-	for off := 0; off < len(data); off += size {
-		end := off + size
-		if end > len(data) {
-			end = len(data)
-		}
-		c := Chunk{Offset: off, Data: data[off:end]}
-		c.FP = Fingerprint(c.Data)
-		out = append(out, c)
-	}
-	return out, nil
 }
 
 // CDCConfig configures content-defined chunking.
@@ -123,9 +104,6 @@ type Index struct {
 
 // NewIndex returns an empty chunk index.
 func NewIndex() *Index { return &Index{seen: make(map[uint64]int)} }
-
-// Len returns the number of distinct fingerprints.
-func (ix *Index) Len() int { return len(ix.seen) }
 
 // DedupResult summarizes a deduplicated transfer.
 type DedupResult struct {

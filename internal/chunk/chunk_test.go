@@ -21,33 +21,6 @@ func reassemble(chunks []Chunk) []byte {
 	return out
 }
 
-func TestFixedChunking(t *testing.T) {
-	data := []byte("abcdefghij")
-	chunks, err := Fixed(data, 4)
-	if err != nil {
-		t.Fatalf("Fixed: %v", err)
-	}
-	if len(chunks) != 3 {
-		t.Fatalf("got %d chunks, want 3", len(chunks))
-	}
-	if !bytes.Equal(reassemble(chunks), data) {
-		t.Error("fixed chunks do not reassemble to input")
-	}
-	if chunks[2].Offset != 8 || len(chunks[2].Data) != 2 {
-		t.Errorf("last chunk = %+v", chunks[2])
-	}
-	if _, err := Fixed(data, 0); err == nil {
-		t.Error("size 0 should fail")
-	}
-}
-
-func TestFixedEmptyInput(t *testing.T) {
-	chunks, err := Fixed(nil, 8)
-	if err != nil || len(chunks) != 0 {
-		t.Errorf("empty input: %v, %d chunks", err, len(chunks))
-	}
-}
-
 func TestCDCReassembles(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := randBytes(rng, 200_000)
@@ -130,8 +103,8 @@ func TestIndexDedup(t *testing.T) {
 	if second.NewBytes != 0 || second.DupBytes != second.TotalBytes {
 		t.Errorf("second add should be all-duplicate: %+v", second)
 	}
-	if ix.Len() != first.NewChunks {
-		t.Errorf("index len %d, want %d", ix.Len(), first.NewChunks)
+	if len(ix.seen) != first.NewChunks {
+		t.Errorf("index holds %d fingerprints, want %d", len(ix.seen), first.NewChunks)
 	}
 }
 

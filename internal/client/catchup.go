@@ -3,7 +3,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 
@@ -33,24 +32,6 @@ func (c *Client) SnapshotSave(ctx context.Context) (store.WriteResult, error) {
 	var res store.WriteResult
 	err := c.do(ctx, http.MethodPost, "/v1/snapshot/save", nil, "", &res)
 	return res, err
-}
-
-// ChunkSet fetches the server's chunk-ID inventory and whether its store
-// is chunked.
-func (c *Client) ChunkSet(ctx context.Context) ([]store.ChunkID, bool, error) {
-	var resp server.ChunkSetResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/snapshot/chunks", nil, "", &resp); err != nil {
-		return nil, false, err
-	}
-	ids := make([]store.ChunkID, len(resp.Chunks))
-	for i, s := range resp.Chunks {
-		id, err := store.ParseChunkID(s)
-		if err != nil {
-			return nil, false, fmt.Errorf("client: chunk inventory: %w", err)
-		}
-		ids[i] = id
-	}
-	return ids, resp.Chunked, nil
 }
 
 // FetchDelta requests a snapshot delta relative to the given have-set and

@@ -21,7 +21,7 @@ var testCDC = chunk.Config{MinSize: 256, AvgSize: 1024, MaxSize: 8192, Normaliza
 
 // newSnapshotServer builds an engine-backed server with a chunked
 // generation store, the shape of a cluster primary.
-func newSnapshotServer(t *testing.T) (*httptest.Server, *core.Engine, *workload.Dataset) {
+func newSnapshotServer(t *testing.T) (*httptest.Server, *core.Engine, *store.Generations, *workload.Dataset) {
 	t.Helper()
 	ds, err := workload.Generate(workload.Spec{
 		Name: "client-catchup", Scenes: 4, Photos: 60, Subjects: 2,
@@ -48,7 +48,7 @@ func newSnapshotServer(t *testing.T) (*httptest.Server, *core.Engine, *workload.
 		hs.Close()
 		srv.BeginDrain()
 	})
-	return hs, eng, ds
+	return hs, eng, gens, ds
 }
 
 // recoverEngine loads the newest generation of a replica store as an engine.
@@ -71,7 +71,7 @@ func recoverEngine(t *testing.T, g *store.Generations) *core.Engine {
 // engine holding exactly the primary's photo set, and answering every
 // probe byte-identically to the primary, both times.
 func TestCatchUpColdThenIncremental(t *testing.T) {
-	hs, eng, ds := newSnapshotServer(t)
+	hs, eng, primary, ds := newSnapshotServer(t)
 	c := New(hs.URL, WithRetries(1, time.Millisecond))
 	ctx := context.Background()
 	qs, err := ds.Queries(4, 77)
@@ -106,9 +106,9 @@ func TestCatchUpColdThenIncremental(t *testing.T) {
 	if _, err := c.SnapshotSave(ctx); err != nil {
 		t.Fatalf("SnapshotSave: %v", err)
 	}
-	ids, chunked, err := c.ChunkSet(ctx)
-	if err != nil || !chunked || len(ids) == 0 {
-		t.Fatalf("ChunkSet: ids=%d chunked=%v err=%v", len(ids), chunked, err)
+	ids, err := primary.LiveChunkIDs()
+	if err != nil || !primary.Chunked || len(ids) == 0 {
+		t.Fatalf("primary chunk inventory: ids=%d chunked=%v err=%v", len(ids), primary.Chunked, err)
 	}
 
 	replica := &store.Generations{Path: filepath.Join(t.TempDir(), "snap"), Chunked: true, CDC: testCDC}

@@ -52,8 +52,6 @@ func (c Config) withDefaults() Config {
 type Node struct {
 	ID    int
 	cores []time.Duration // next-free time per core
-	busy  time.Duration   // total busy time accumulated
-	tasks int
 }
 
 // Cluster is the simulated machine room.
@@ -84,18 +82,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Config returns the effective configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
-// Nodes returns the node count.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
-
-// Disk returns the per-node disk model.
-func (c *Cluster) Disk() store.DiskModel { return c.cfg.Disk }
-
-// Net returns the interconnect model.
-func (c *Cluster) Net() store.NetworkModel { return c.cfg.Net }
-
 // Submit schedules a task needing service time on the given node, arriving
 // at the given simulated time. It returns the task's completion time. The
 // task runs on the earliest-available core (FCFS per node).
@@ -120,8 +106,6 @@ func (c *Cluster) Submit(node int, arrival, service time.Duration) (time.Duratio
 	}
 	done := start + service
 	n.cores[best] = done
-	n.busy += service
-	n.tasks++
 	return done, nil
 }
 
@@ -131,69 +115,6 @@ func (c *Cluster) Submit(node int, arrival, service time.Duration) (time.Duratio
 // placement the real router and shards use.
 func (c *Cluster) Route(key uint64) int {
 	return c.ring.Owner(key)
-}
-
-// Ring exposes the cluster's placement ring, so harnesses can assert the
-// simulated assignment matches a real tier built from the same config.
-func (c *Cluster) Ring() *placement.Ring { return c.ring }
-
-// Broadcast schedules the same service on every node at the given arrival
-// and returns the time the slowest node finishes plus one network round
-// trip (scatter/gather aggregation).
-func (c *Cluster) Broadcast(arrival, service time.Duration) (time.Duration, error) {
-	var maxDone time.Duration
-	for i := range c.nodes {
-		done, err := c.Submit(i, arrival, service)
-		if err != nil {
-			return 0, err
-		}
-		if done > maxDone {
-			maxDone = done
-		}
-	}
-	return maxDone + c.cfg.Net.RTT, nil
-}
-
-// Utilization returns the mean busy fraction across nodes at the horizon of
-// the latest completion.
-func (c *Cluster) Utilization() float64 {
-	var horizon time.Duration
-	for _, n := range c.nodes {
-		for _, t := range n.cores {
-			if t > horizon {
-				horizon = t
-			}
-		}
-	}
-	if horizon == 0 {
-		return 0
-	}
-	var busy time.Duration
-	for _, n := range c.nodes {
-		busy += n.busy
-	}
-	capacity := horizon * time.Duration(len(c.nodes)*c.cfg.CoresPerNode)
-	return float64(busy) / float64(capacity)
-}
-
-// TaskCount returns the number of tasks scheduled so far.
-func (c *Cluster) TaskCount() int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.tasks
-	}
-	return total
-}
-
-// Reset clears all node timelines.
-func (c *Cluster) Reset() {
-	for _, n := range c.nodes {
-		for i := range n.cores {
-			n.cores[i] = 0
-		}
-		n.busy = 0
-		n.tasks = 0
-	}
 }
 
 // RunWorkload schedules a batch of independent tasks (key → service time)

@@ -20,8 +20,8 @@ func TestNewDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if c.Nodes() != 256 || c.Config().CoresPerNode != 32 {
-		t.Errorf("defaults = %d nodes x %d cores, want 256x32", c.Nodes(), c.Config().CoresPerNode)
+	if len(c.nodes) != 256 || c.cfg.CoresPerNode != 32 {
+		t.Errorf("defaults = %d nodes x %d cores, want 256x32", len(c.nodes), c.cfg.CoresPerNode)
 	}
 	if _, err := New(Config{Nodes: -1}); err == nil {
 		t.Error("negative nodes should fail")
@@ -64,7 +64,7 @@ func TestRouteStableAndInRange(t *testing.T) {
 	c := small()
 	for k := uint64(0); k < 1000; k++ {
 		n := c.Route(k)
-		if n < 0 || n >= c.Nodes() {
+		if n < 0 || n >= len(c.nodes) {
 			t.Fatalf("Route(%d) = %d out of range", k, n)
 		}
 		if n != c.Route(k) {
@@ -72,7 +72,7 @@ func TestRouteStableAndInRange(t *testing.T) {
 		}
 	}
 	// Roughly balanced: every node receives some keys.
-	counts := make([]int, c.Nodes())
+	counts := make([]int, len(c.nodes))
 	for k := uint64(0); k < 4000; k++ {
 		counts[c.Route(k)]++
 	}
@@ -80,22 +80,6 @@ func TestRouteStableAndInRange(t *testing.T) {
 		if n < 500 {
 			t.Errorf("node %d received only %d/4000 keys", i, n)
 		}
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	c := small()
-	d := 5 * time.Millisecond
-	done, err := c.Broadcast(0, d)
-	if err != nil {
-		t.Fatalf("Broadcast: %v", err)
-	}
-	want := d + c.Net().RTT
-	if done != want {
-		t.Errorf("Broadcast completion = %v, want %v", done, want)
-	}
-	if c.TaskCount() != c.Nodes() {
-		t.Errorf("TaskCount = %d, want %d", c.TaskCount(), c.Nodes())
 	}
 }
 
@@ -131,25 +115,6 @@ func TestRunWorkloadEmpty(t *testing.T) {
 	st := c.RunWorkload(nil, func(uint64) time.Duration { return time.Second })
 	if st.Count != 0 || st.Mean != 0 {
 		t.Errorf("empty workload stats = %+v", st)
-	}
-}
-
-func TestUtilizationAndReset(t *testing.T) {
-	c := small()
-	if c.Utilization() != 0 {
-		t.Error("fresh cluster utilization != 0")
-	}
-	// Saturate node 0 only: utilization well below 1.
-	for i := 0; i < 10; i++ {
-		_, _ = c.Submit(0, 0, time.Millisecond)
-	}
-	u := c.Utilization()
-	if u <= 0 || u >= 1 {
-		t.Errorf("utilization = %v, want in (0, 1)", u)
-	}
-	c.Reset()
-	if c.Utilization() != 0 || c.TaskCount() != 0 {
-		t.Error("Reset did not clear state")
 	}
 }
 

@@ -21,9 +21,9 @@ func TestRouteMatchesPlacementRing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("placement.New: %v", err)
 	}
-	if c.Ring().Fingerprint() != ring.Fingerprint() {
+	if c.ring.Fingerprint() != ring.Fingerprint() {
 		t.Fatalf("simulator ring fingerprint %x != standalone ring %x",
-			c.Ring().Fingerprint(), ring.Fingerprint())
+			c.ring.Fingerprint(), ring.Fingerprint())
 	}
 	for k := uint64(0); k < 20_000; k++ {
 		if got, want := c.Route(k), ring.Owner(k); got != want {

@@ -18,7 +18,9 @@
 // (probes are independent and parallelizable), ranks them by summary
 // similarity, and returns the correlated group. False positives are
 // tolerated (the use case post-verifies results); false negatives are
-// suppressed by multi-probing adjacent buckets.
+// suppressed by MinHash banding (a correlated pair need collide in only one
+// band) and by group expansion, which re-probes the index with the stored
+// summaries of the top hits.
 package core
 
 import (

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -16,16 +17,25 @@ var (
 )
 
 // fuzzSeedSnapshot builds one small valid container snapshot for seeding.
+//
+// The seed's length bounds how fast the fuzzer runs. Every new interesting
+// input is minimized, which costs time quadratic in its length, and Go's
+// default minimization budget (60 s) outlasts a short fuzzing run: from a
+// seed of kilobytes, every worker is minimizing within seconds and no
+// further inputs are executed. An engine's PCA section alone is kilobytes
+// (the mean and each basis row are feature.GradPatchDim float64s), so the
+// seed takes a tiny engine's config and entries sections and replaces its
+// PCA section with a 1×1 basis, which ReadEngine accepts like any other.
 func fuzzSeedSnapshot(tb testing.TB) []byte {
 	fuzzSeedOnce.Do(func() {
 		ds, err := workload.Generate(workload.Spec{
-			Name: "core-fuzz", Scenes: 2, Photos: 8, Subjects: 2,
-			SubjectRate: 0.25, Resolution: 32, Seed: 3, SceneBase: 50,
+			Name: "core-fuzz", Scenes: 2, Photos: 2, Subjects: 2,
+			SubjectRate: 0.25, Resolution: 24, Seed: 3, SceneBase: 50,
 		})
 		if err != nil {
 			return
 		}
-		e := NewEngine(Config{})
+		e := NewEngine(Config{PCADim: 1})
 		if _, err := e.Build(ds.Photos); err != nil {
 			return
 		}
@@ -33,7 +43,24 @@ func fuzzSeedSnapshot(tb testing.TB) []byte {
 		if _, err := e.WriteTo(&buf); err != nil {
 			return
 		}
-		fuzzSeedSnap = buf.Bytes()
+		snap := buf.Bytes()
+		const pcaLenOff = offSectionTab + 16 + 4 // section 1's length field
+		pcaEnd := offPCADims + binary.LittleEndian.Uint64(snap[pcaLenOff:])
+		var pca bytes.Buffer
+		if err := writeFields(&pca, int32(1), int32(1), float64(0), float64(1)); err != nil {
+			return
+		}
+		seed := append(bytes.Clone(snap[:offPCADims]), pca.Bytes()...)
+		seed = append(seed, snap[pcaEnd:]...)
+		binary.LittleEndian.PutUint64(seed[pcaLenOff:], uint64(pca.Len()))
+		seed, ok := reseal(seed)
+		if !ok {
+			return
+		}
+		if _, err := ReadEngine(bytes.NewReader(seed)); err != nil {
+			return
+		}
+		fuzzSeedSnap = seed
 	})
 	if fuzzSeedSnap == nil {
 		tb.Skip("seed snapshot construction failed")

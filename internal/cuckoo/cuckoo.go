@@ -48,8 +48,6 @@ type Table interface {
 	Insert(key, value uint64) error
 	// Lookup returns the value for key and whether it is present.
 	Lookup(key uint64) (uint64, bool)
-	// Delete removes key, reporting whether it was present.
-	Delete(key uint64) bool
 	// Len returns the number of stored entries.
 	Len() int
 	// Cap returns the number of cells.
@@ -67,16 +65,6 @@ type Stats struct {
 	Lookups      int
 	MaxChain     int // longest single-insert kick chain observed
 	NeighborHits int // flat only: placements resolved by a neighbor cell
-}
-
-// FailureProbability returns Failures / Inserts, the empirical rehash
-// probability plotted in Figure 6 (every insertion completes — overflow
-// lands in the stash — so Inserts is the attempt count).
-func (s Stats) FailureProbability() float64 {
-	if s.Inserts == 0 {
-		return 0
-	}
-	return float64(s.Failures) / float64(s.Inserts)
 }
 
 // hashPair derives the two bucket indices for key in a table of size
@@ -233,30 +221,3 @@ func (t *Standard) Insert(key, value uint64) error {
 	t.stats.Failures++
 	return fmt.Errorf("%w: key %d after %d kicks", ErrTableFull, cur.Key, t.maxKicks)
 }
-
-// Delete removes key if present.
-func (t *Standard) Delete(key uint64) bool {
-	b1, b2 := hashPair(key, t.mask)
-	if t.cells[b1].Key == key {
-		t.cells[b1] = KeyValue{}
-		t.n--
-		return true
-	}
-	if t.cells[b2].Key == key {
-		t.cells[b2] = KeyValue{}
-		t.n--
-		return true
-	}
-	for i := range t.stash {
-		if t.stash[i].Key == key {
-			t.stash[i] = t.stash[len(t.stash)-1]
-			t.stash = t.stash[:len(t.stash)-1]
-			t.n--
-			return true
-		}
-	}
-	return false
-}
-
-// LoadFactor returns n / capacity.
-func (t *Standard) LoadFactor() float64 { return float64(t.n) / float64(len(t.cells)) }

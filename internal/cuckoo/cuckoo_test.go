@@ -39,18 +39,6 @@ func TestStandardInsertLookupDelete(t *testing.T) {
 	if _, ok := tb.Lookup(9999); ok {
 		t.Error("Lookup of absent key returned true")
 	}
-	if !tb.Delete(50) {
-		t.Error("Delete(50) = false")
-	}
-	if _, ok := tb.Lookup(50); ok {
-		t.Error("deleted key still present")
-	}
-	if tb.Delete(50) {
-		t.Error("double delete returned true")
-	}
-	if tb.Len() != 99 {
-		t.Errorf("Len after delete = %d, want 99", tb.Len())
-	}
 }
 
 func TestStandardUpdateInPlace(t *testing.T) {
@@ -263,18 +251,6 @@ func TestFlatLookupBatchMatchesSequential(t *testing.T) {
 	}
 	if res := tb.LookupBatch(nil, 4); len(res) != 0 {
 		t.Error("empty batch should return empty results")
-	}
-}
-
-func TestStatsFailureProbability(t *testing.T) {
-	var s Stats
-	if s.FailureProbability() != 0 {
-		t.Error("empty stats probability != 0")
-	}
-	s.Inserts = 100
-	s.Failures = 1
-	if p := s.FailureProbability(); p != 0.01 {
-		t.Errorf("probability = %v, want 0.01", p)
 	}
 }
 

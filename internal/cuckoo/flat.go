@@ -132,9 +132,6 @@ func probe(cells, stash []KeyValue, mask uint64, nu int, key uint64) (*KeyValue,
 	return nil, 2*(nu+1) + len(stash)
 }
 
-// Neighborhood returns ν.
-func (t *Flat) Neighborhood() int { return t.nu }
-
 // Shards returns the number of copy-on-write sub-tables.
 func (t *Flat) Shards() int { return len(t.shards) }
 

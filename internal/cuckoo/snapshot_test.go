@@ -100,9 +100,9 @@ func TestFlatShardsValidation(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d capacity=%d ν=%d: Shards = %d, want %d",
 					procs, c.capacity, c.nu, tb.Shards(), c.shards)
 			}
-			if tb.Cap()/tb.Shards() <= tb.Neighborhood() {
+			if tb.Cap()/tb.Shards() <= tb.nu {
 				t.Errorf("shard size %d not above neighborhood %d",
-					tb.Cap()/tb.Shards(), tb.Neighborhood())
+					tb.Cap()/tb.Shards(), tb.nu)
 			}
 		}
 	}

@@ -59,9 +59,6 @@ func NewDetector(cfg Config) *Detector {
 	return &Detector{cfg: cfg.withDefaults()}
 }
 
-// Seen returns the number of retained summaries.
-func (d *Detector) Seen() int { return len(d.summaries) }
-
 // Summarize builds the Bloom summary of an image from its quantized SIFT
 // descriptors.
 func (d *Detector) Summarize(im *simimg.Image) (*bloom.Sparse, error) {
@@ -111,6 +108,3 @@ func (d *Detector) Check(im *simimg.Image) (Decision, error) {
 	}
 	return Decision{Duplicate: false, Similarity: best, MatchIndex: -1}, nil
 }
-
-// Reset drops all retained summaries.
-func (d *Detector) Reset() { d.summaries = nil }

@@ -20,8 +20,8 @@ func TestDetectorFlagsNearDuplicates(t *testing.T) {
 	if dec.Duplicate {
 		t.Fatal("first image flagged as duplicate")
 	}
-	if d.Seen() != 1 {
-		t.Fatalf("Seen = %d, want 1", d.Seen())
+	if len(d.summaries) != 1 {
+		t.Fatalf("Seen = %d, want 1", len(d.summaries))
 	}
 
 	retake := simimg.RenderPhoto(2, scene, simimg.PhotoParams{Severity: 0.05}, rng)
@@ -36,8 +36,8 @@ func TestDetectorFlagsNearDuplicates(t *testing.T) {
 		t.Errorf("MatchIndex = %d, want 0", dec.MatchIndex)
 	}
 	// A retained duplicate must not grow the summary set.
-	if d.Seen() != 1 {
-		t.Errorf("Seen = %d after duplicate, want 1", d.Seen())
+	if len(d.summaries) != 1 {
+		t.Errorf("Seen = %d after duplicate, want 1", len(d.summaries))
 	}
 }
 
@@ -57,19 +57,6 @@ func TestDetectorPassesDistinctScenes(t *testing.T) {
 	}
 	if dups > 1 {
 		t.Errorf("%d/8 distinct scenes flagged duplicate", dups)
-	}
-}
-
-func TestDetectorReset(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := NewDetector(Config{})
-	p := simimg.RenderPhoto(1, simimg.NewScene(50), simimg.PhotoParams{}, rng)
-	if _, err := d.Check(p.Img); err != nil {
-		t.Fatal(err)
-	}
-	d.Reset()
-	if d.Seen() != 0 {
-		t.Errorf("Seen = %d after Reset", d.Seen())
 	}
 }
 
@@ -107,8 +94,8 @@ func TestMaxSummariesEviction(t *testing.T) {
 		if _, err := d.Check(p.Img); err != nil {
 			t.Fatal(err)
 		}
-		if d.Seen() > 3 {
-			t.Fatalf("Seen = %d exceeds MaxSummaries 3", d.Seen())
+		if len(d.summaries) > 3 {
+			t.Fatalf("Seen = %d exceeds MaxSummaries 3", len(d.summaries))
 		}
 	}
 	// The oldest scene's retake is no longer recognized (its summary was

@@ -55,55 +55,29 @@ func (m Model) Idle(d time.Duration) float64 {
 	return m.IdleWatts * d.Seconds()
 }
 
-// Sample is one reading of a Monsoon-style power trace.
-type Sample struct {
-	At    time.Duration
-	Watts float64
-}
-
-// Recorder accumulates a power trace the way the Monsoon monitor does
-// (the paper samples voltage and current at 6 kHz; we record one sample per
-// recorded event, which is sufficient for energy integration).
+// Recorder accumulates the energy of a sequence of events, standing in for
+// the Monsoon monitor's integration of its power trace.
 type Recorder struct {
-	model   Model
-	samples []Sample
-	joules  float64
-	now     time.Duration
+	model  Model
+	joules float64
 }
 
 // NewRecorder returns a recorder over the given model.
 func NewRecorder(model Model) *Recorder { return &Recorder{model: model} }
 
-// RecordTransmission advances the trace through a transfer of bytes taking
-// elapsed time and accumulates its energy.
+// RecordTransmission accumulates the energy of a transfer of bytes taking
+// elapsed time.
 func (r *Recorder) RecordTransmission(bytes int64, elapsed time.Duration) {
-	j := r.model.Transmission(bytes) + r.model.Idle(elapsed)
-	r.addEvent(j, elapsed)
+	r.joules += r.model.Transmission(bytes) + r.model.Idle(elapsed)
 }
 
-// RecordCompute advances the trace through an active-CPU interval.
+// RecordCompute accumulates the energy of an active-CPU interval.
 func (r *Recorder) RecordCompute(elapsed time.Duration) {
-	j := r.model.Compute(elapsed) + r.model.Idle(elapsed)
-	r.addEvent(j, elapsed)
-}
-
-func (r *Recorder) addEvent(joules float64, elapsed time.Duration) {
-	if elapsed <= 0 {
-		elapsed = time.Millisecond
-	}
-	r.joules += joules
-	r.now += elapsed
-	r.samples = append(r.samples, Sample{At: r.now, Watts: joules / elapsed.Seconds()})
+	r.joules += r.model.Compute(elapsed) + r.model.Idle(elapsed)
 }
 
 // TotalJoules returns the accumulated energy.
 func (r *Recorder) TotalJoules() float64 { return r.joules }
-
-// Elapsed returns the trace duration.
-func (r *Recorder) Elapsed() time.Duration { return r.now }
-
-// Trace returns the recorded samples.
-func (r *Recorder) Trace() []Sample { return r.samples }
 
 // Savings returns the fractional energy saving of measured vs baseline.
 // It returns an error when baseline is non-positive.

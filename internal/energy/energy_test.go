@@ -36,34 +36,13 @@ func TestComputeAndIdle(t *testing.T) {
 }
 
 func TestRecorderAccumulates(t *testing.T) {
-	r := NewRecorder(DefaultWiFi())
+	m := DefaultWiFi()
+	r := NewRecorder(m)
 	r.RecordTransmission(5<<20, 2*time.Second)
 	r.RecordCompute(time.Second)
-	if r.TotalJoules() <= 0 {
-		t.Error("no energy recorded")
-	}
-	if r.Elapsed() != 3*time.Second {
-		t.Errorf("Elapsed = %v, want 3s", r.Elapsed())
-	}
-	trace := r.Trace()
-	if len(trace) != 2 {
-		t.Fatalf("trace has %d samples, want 2", len(trace))
-	}
-	if trace[0].At >= trace[1].At {
-		t.Error("trace timestamps not increasing")
-	}
-	for _, s := range trace {
-		if s.Watts <= 0 {
-			t.Errorf("sample power %v not positive", s.Watts)
-		}
-	}
-}
-
-func TestRecorderZeroElapsedClamped(t *testing.T) {
-	r := NewRecorder(DefaultWiFi())
-	r.RecordCompute(0)
-	if r.Elapsed() <= 0 {
-		t.Error("zero-elapsed event should still advance the trace")
+	want := m.Transmission(5<<20) + m.Idle(2*time.Second) + m.Compute(time.Second) + m.Idle(time.Second)
+	if got := r.TotalJoules(); got <= 0 || math.Abs(got-want) > 1e-9 {
+		t.Errorf("TotalJoules = %v, want %v", got, want)
 	}
 }
 

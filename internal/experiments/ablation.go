@@ -192,6 +192,12 @@ func ablatePStable(e *Env, w interface{ Write([]byte) (int, error) }) error {
 	if err != nil {
 		return err
 	}
+	// The paper's configuration with its multi-probe of adjacent buckets:
+	// ±1 on each of the M=10 signature coordinates of every table.
+	psProbe, err := lsh.New(lsh.Params{Dim: dim, L: 7, M: 10, Omega: 0.85, Probes: 10, Seed: e.Opts().Seed})
+	if err != nil {
+		return err
+	}
 	// A second p-stable index with ω chosen from the data (R estimated by
 	// the paper's sampling procedure, ω = 8R so near neighbors collide with
 	// p ≈ 0.9 per function).
@@ -219,6 +225,9 @@ func ablatePStable(e *Env, w interface{ Write([]byte) (int, error) }) error {
 		if err := ps.Insert(lsh.ItemID(id), bv); err != nil {
 			return err
 		}
+		if err := psProbe.Insert(lsh.ItemID(id), bv); err != nil {
+			return err
+		}
 		if err := psTuned.Insert(lsh.ItemID(id), bv); err != nil {
 			return err
 		}
@@ -241,6 +250,7 @@ func ablatePStable(e *Env, w interface{ Write([]byte) (int, error) }) error {
 	}
 	fams := []fam{
 		{"p-stable (L7,M10,ω.85)", func(f *bloom.Filter) ([]lsh.ItemID, error) { return ps.Query(f.BitVector()) }},
+		{"p-stable +multi-probe", func(f *bloom.Filter) ([]lsh.ItemID, error) { return psProbe.Query(f.BitVector()) }},
 		{fmt.Sprintf("p-stable (ω=8R=%.0f)", 8*r), func(f *bloom.Filter) ([]lsh.ItemID, error) { return psTuned.Query(f.BitVector()) }},
 		{"MinHash (L7,M1)", func(f *bloom.Filter) ([]lsh.ItemID, error) {
 			sp := bloom.ToSparse(f)
@@ -273,7 +283,8 @@ func ablatePStable(e *Env, w interface{ Write([]byte) (int, error) }) error {
 		frac := float64(cand) / float64(len(qs)*len(ds.Photos))
 		fmt.Fprintf(w, "%-24s | %8.3f %12.3f\n", fm.name, acc.Mean(), frac)
 	}
-	fmt.Fprintf(w, "(at the paper's ω=0.85 nothing collides on these summaries; with ω tuned to\n")
+	fmt.Fprintf(w, "(at the paper's ω=0.85 nothing collides on these summaries, and probing the\n")
+	fmt.Fprintf(w, " adjacent buckets of every coordinate does not change that; with ω tuned to\n")
 	fmt.Fprintf(w, " the data the family recalls neighbors but passes most of the corpus — the\n")
 	fmt.Fprintf(w, " narrow l2 gap cannot be amplified. MinHash works in Jaccard space, where\n")
 	fmt.Fprintf(w, " the same summaries separate cleanly — see the lsh package docs)\n")

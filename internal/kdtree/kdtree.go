@@ -29,7 +29,6 @@ type node struct {
 type Tree struct {
 	root *node
 	dim  int
-	size int
 	// Visited counts nodes touched by searches — the hierarchical-
 	// addressing cost Table I contrasts with FAST's constant probes.
 	Visited int
@@ -50,7 +49,7 @@ func Build(points []Point) (*Tree, error) {
 			return nil, fmt.Errorf("kdtree: point %d has dimension %d, want %d", i, len(p.Vec), dim)
 		}
 	}
-	t := &Tree{dim: dim, size: len(points)}
+	t := &Tree{dim: dim}
 	t.root = build(points, 0, dim)
 	return t, nil
 }
@@ -68,26 +67,6 @@ func build(pts []Point, depth, dim int) *node {
 		left:  build(pts[:mid], depth+1, dim),
 		right: build(pts[mid+1:], depth+1, dim),
 	}
-}
-
-// Len returns the number of indexed points.
-func (t *Tree) Len() int { return t.size }
-
-// Dim returns the tree's dimensionality.
-func (t *Tree) Dim() int { return t.dim }
-
-// Height returns the tree height.
-func (t *Tree) Height() int { return height(t.root) }
-
-func height(n *node) int {
-	if n == nil {
-		return 0
-	}
-	l, r := height(n.left), height(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
 }
 
 // Neighbor is a kNN result.
@@ -141,45 +120,6 @@ func insertNeighbor(best []Neighbor, nb Neighbor, k int) []Neighbor {
 		best = best[:k]
 	}
 	return best
-}
-
-// Range returns every point whose coordinates fall inside the axis-aligned
-// box [lo, hi] (inclusive). It returns an error on dimension mismatch.
-func (t *Tree) Range(lo, hi []float64) ([]Point, error) {
-	if len(lo) != t.dim || len(hi) != t.dim {
-		return nil, fmt.Errorf("kdtree: range dimensions %d/%d, want %d", len(lo), len(hi), t.dim)
-	}
-	for i := range lo {
-		if lo[i] > hi[i] {
-			return nil, fmt.Errorf("kdtree: empty range on axis %d (%v > %v)", i, lo[i], hi[i])
-		}
-	}
-	var out []Point
-	var visit func(n *node)
-	visit = func(n *node) {
-		if n == nil {
-			return
-		}
-		t.Visited++
-		inside := true
-		for i, x := range n.point.Vec {
-			if x < lo[i] || x > hi[i] {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			out = append(out, n.point)
-		}
-		if n.point.Vec[n.axis] >= lo[n.axis] {
-			visit(n.left)
-		}
-		if n.point.Vec[n.axis] <= hi[n.axis] {
-			visit(n.right)
-		}
-	}
-	visit(t.root)
-	return out, nil
 }
 
 func dist(a, b []float64) float64 {

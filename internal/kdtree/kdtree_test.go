@@ -37,11 +37,18 @@ func TestBuildBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 1023 || tr.Dim() != 3 {
-		t.Fatalf("Len/Dim = %d/%d", tr.Len(), tr.Dim())
+	if tr.dim != 3 {
+		t.Fatalf("dim = %d, want 3", tr.dim)
+	}
+	var height func(n *node) int
+	height = func(n *node) int {
+		if n == nil {
+			return 0
+		}
+		return 1 + max(height(n.left), height(n.right))
 	}
 	// Median splits give height exactly ceil(log2(n+1)) for this n.
-	if h := tr.Height(); h != 10 {
+	if h := height(tr.root); h != 10 {
 		t.Errorf("height = %d, want 10 for 1023 balanced points", h)
 	}
 }
@@ -100,62 +107,16 @@ func TestNearestValidation(t *testing.T) {
 	}
 }
 
-func TestRangeMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pts := randPoints(rng, 400, 3)
-	ref := make([]Point, len(pts))
-	for i := range pts {
-		ref[i] = Point{Vec: append([]float64(nil), pts[i].Vec...), ID: pts[i].ID}
-	}
-	tr, _ := Build(pts)
-	lo := []float64{20, 30, 10}
-	hi := []float64{60, 80, 90}
-	got, err := tr.Range(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[uint64]bool{}
-	for _, p := range ref {
-		in := true
-		for i := range lo {
-			if p.Vec[i] < lo[i] || p.Vec[i] > hi[i] {
-				in = false
-			}
-		}
-		if in {
-			want[p.ID] = true
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("range returned %d, linear scan %d", len(got), len(want))
-	}
-	for _, p := range got {
-		if !want[p.ID] {
-			t.Fatalf("point %d outside range returned", p.ID)
-		}
-	}
-}
-
-func TestRangeValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tr, _ := Build(randPoints(rng, 10, 2))
-	if _, err := tr.Range([]float64{1}, []float64{2, 3}); err == nil {
-		t.Error("dimension mismatch should fail")
-	}
-	if _, err := tr.Range([]float64{5, 5}, []float64{1, 9}); err == nil {
-		t.Error("inverted range should fail")
-	}
-}
-
 func TestVisitedGrowsLogarithmically(t *testing.T) {
 	// kNN on a balanced tree should visit far fewer nodes than the corpus.
 	rng := rand.New(rand.NewSource(6))
-	tr, _ := Build(randPoints(rng, 4096, 3))
+	const n = 4096
+	tr, _ := Build(randPoints(rng, n, 3))
 	tr.Visited = 0
 	if _, err := tr.Nearest([]float64{50, 50, 50}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Visited >= tr.Len()/2 {
-		t.Errorf("1-NN visited %d of %d nodes; pruning ineffective", tr.Visited, tr.Len())
+	if tr.Visited >= n/2 {
+		t.Errorf("1-NN visited %d of %d nodes; pruning ineffective", tr.Visited, n)
 	}
 }

@@ -94,19 +94,6 @@ func (p *PCA) ProjectInto(dst, v Vector) error {
 	return nil
 }
 
-// ProjectAll maps each vector in vs; it stops at the first error.
-func (p *PCA) ProjectAll(vs []Vector) ([]Vector, error) {
-	out := make([]Vector, len(vs))
-	for i, v := range vs {
-		pv, err := p.Project(v)
-		if err != nil {
-			return nil, fmt.Errorf("linalg: sample %d: %w", i, err)
-		}
-		out[i] = pv
-	}
-	return out, nil
-}
-
 // TotalExplained returns the total fraction of variance captured by the
 // retained components.
 func (p *PCA) TotalExplained() float64 {

@@ -73,9 +73,6 @@ func TestPCAProjectDimensionError(t *testing.T) {
 	if _, err := p.Project(NewVector(5)); err == nil {
 		t.Error("Project with wrong dimension should fail")
 	}
-	if _, err := p.ProjectAll([]Vector{NewVector(4), NewVector(3)}); err == nil {
-		t.Error("ProjectAll with a bad sample should fail")
-	}
 }
 
 func TestFitPCAErrors(t *testing.T) {

@@ -87,15 +87,6 @@ func (v Vector) Dot(w Vector) float64 {
 // Norm returns the Euclidean (l2) norm of v.
 func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Norm1 returns the l1 norm of v.
-func (v Vector) Norm1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // Normalize scales v to unit l2 norm in place. A zero vector is unchanged.
 func (v Vector) Normalize() {
 	n := v.Norm()
@@ -114,26 +105,6 @@ func Dist(v, w Vector) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// Dist1 returns the Manhattan (l1) distance between v and w.
-func Dist1(v, w Vector) float64 {
-	mustSameLen(len(v), len(w))
-	var s float64
-	for i := range v {
-		s += math.Abs(v[i] - w[i])
-	}
-	return s
-}
-
-// CosineSimilarity returns the cosine of the angle between v and w, or 0 if
-// either vector is zero.
-func CosineSimilarity(v, w Vector) float64 {
-	nv, nw := v.Norm(), w.Norm()
-	if nv == 0 || nw == 0 {
-		return 0
-	}
-	return v.Dot(w) / (nv * nw)
 }
 
 // Mean returns the component-wise mean of the vectors. It returns an error

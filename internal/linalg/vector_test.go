@@ -34,9 +34,6 @@ func TestVectorDotNorm(t *testing.T) {
 	if got := v.Norm(); got != 5 {
 		t.Errorf("Norm = %v, want 5", got)
 	}
-	if got := v.Norm1(); got != 7 {
-		t.Errorf("Norm1 = %v, want 7", got)
-	}
 }
 
 func TestVectorNormalize(t *testing.T) {
@@ -57,29 +54,6 @@ func TestDist(t *testing.T) {
 	w := Vector{3, 4}
 	if got := Dist(v, w); got != 5 {
 		t.Errorf("Dist = %v, want 5", got)
-	}
-	if got := Dist1(v, w); got != 7 {
-		t.Errorf("Dist1 = %v, want 7", got)
-	}
-}
-
-func TestCosineSimilarity(t *testing.T) {
-	tests := []struct {
-		name string
-		v, w Vector
-		want float64
-	}{
-		{"parallel", Vector{1, 0}, Vector{2, 0}, 1},
-		{"orthogonal", Vector{1, 0}, Vector{0, 1}, 0},
-		{"opposite", Vector{1, 0}, Vector{-3, 0}, -1},
-		{"zero", Vector{0, 0}, Vector{1, 1}, 0},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := CosineSimilarity(tc.v, tc.w); !almostEqual(got, tc.want, 1e-12) {
-				t.Errorf("CosineSimilarity = %v, want %v", got, tc.want)
-			}
-		})
 	}
 }
 

@@ -2,39 +2,6 @@ package lsh
 
 import "fmt"
 
-// Delete removes item id from the index. The caller must supply the same
-// vector the item was inserted with (LSH tables are content-addressed; the
-// index stores no reverse mapping to keep its memory footprint at one
-// reference per table). It reports whether the item was found in at least
-// one table.
-func (idx *Index) Delete(id ItemID, v []float64) (bool, error) {
-	if len(v) != idx.params.Dim {
-		return false, fmt.Errorf("lsh: vector dimension %d, want %d", len(v), idx.params.Dim)
-	}
-	removed := false
-	for _, tb := range idx.tables {
-		k := keyOf(tb.signature(v, idx.params.Omega))
-		bucket := tb.buckets[k]
-		for i, got := range bucket {
-			if got == id {
-				bucket[i] = bucket[len(bucket)-1]
-				bucket = bucket[:len(bucket)-1]
-				removed = true
-				break
-			}
-		}
-		if len(bucket) == 0 {
-			delete(tb.buckets, k)
-		} else {
-			tb.buckets[k] = bucket
-		}
-	}
-	if removed {
-		idx.n--
-	}
-	return removed, nil
-}
-
 // Delete removes item id from the MinHash index; set must be the element
 // set it was inserted with. It reports whether the item was found in at
 // least one band.
@@ -68,9 +35,6 @@ func (mh *MinHash) Delete(id ItemID, set []uint32) (bool, error) {
 			removed = true
 			break
 		}
-	}
-	if removed {
-		mh.n--
 	}
 	return removed, nil
 }

@@ -5,77 +5,6 @@ import (
 	"testing"
 )
 
-func TestIndexDelete(t *testing.T) {
-	idx, _ := New(Params{Dim: 4, Seed: 1})
-	v := []float64{1, 2, 3, 4}
-	if err := idx.Insert(9, v); err != nil {
-		t.Fatal(err)
-	}
-	removed, err := idx.Delete(9, v)
-	if err != nil || !removed {
-		t.Fatalf("Delete = %v, %v", removed, err)
-	}
-	if idx.Len() != 0 {
-		t.Errorf("Len = %d after delete", idx.Len())
-	}
-	got, _ := idx.Query(v)
-	for _, id := range got {
-		if id == 9 {
-			t.Fatal("deleted item still returned")
-		}
-	}
-	// Second delete is a no-op.
-	removed, err = idx.Delete(9, v)
-	if err != nil || removed {
-		t.Errorf("double delete = %v, %v", removed, err)
-	}
-	// Dimension mismatch errors.
-	if _, err := idx.Delete(9, []float64{1}); err == nil {
-		t.Error("dimension mismatch should fail")
-	}
-}
-
-func TestIndexDeleteLeavesOthersIntact(t *testing.T) {
-	idx, _ := New(Params{Dim: 6, Seed: 2})
-	rng := rand.New(rand.NewSource(3))
-	vecs := make([][]float64, 50)
-	for i := range vecs {
-		v := make([]float64, 6)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		vecs[i] = v
-		_ = idx.Insert(ItemID(i), v)
-	}
-	for i := 0; i < 25; i++ {
-		if removed, err := idx.Delete(ItemID(i), vecs[i]); err != nil || !removed {
-			t.Fatalf("delete %d: %v, %v", i, removed, err)
-		}
-	}
-	if idx.Len() != 25 {
-		t.Fatalf("Len = %d, want 25", idx.Len())
-	}
-	// Every survivor is still found by its own vector.
-	for i := 25; i < 50; i++ {
-		got, err := idx.Query(vecs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, id := range got {
-			if id == ItemID(i) {
-				found = true
-			}
-			if id < 25 {
-				t.Fatalf("deleted item %d still indexed", id)
-			}
-		}
-		if !found {
-			t.Fatalf("survivor %d lost", i)
-		}
-	}
-}
-
 func TestMinHashDelete(t *testing.T) {
 	mh, _ := NewMinHash(MinHashParams{Seed: 4})
 	set := []uint32{1, 5, 9, 12}
@@ -86,8 +15,8 @@ func TestMinHashDelete(t *testing.T) {
 	if err != nil || !removed {
 		t.Fatalf("Delete = %v, %v", removed, err)
 	}
-	if mh.Len() != 0 {
-		t.Errorf("Len = %d", mh.Len())
+	if refs := mh.Stats().TotalRefs; refs != 0 {
+		t.Errorf("%d bucket refs left after delete", refs)
 	}
 	got, _ := mh.Query(set)
 	if len(got) != 0 {
@@ -114,8 +43,8 @@ func TestMinHashDeleteSelective(t *testing.T) {
 			t.Fatalf("delete %d: %v %v", i, removed, err)
 		}
 	}
-	if mh.Len() != 20 {
-		t.Fatalf("Len = %d", mh.Len())
+	if refs := mh.Stats().TotalRefs; refs != 20*mh.Params().Bands {
+		t.Fatalf("%d bucket refs, want one per band for each of 20 survivors", refs)
 	}
 	for i := 1; i < 40; i += 2 {
 		got, err := mh.Query(sets[i])

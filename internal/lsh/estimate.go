@@ -6,22 +6,6 @@ import (
 	"sort"
 )
 
-// Proximity is the paper's query-quality measure χ = ||p1* - q|| / ||p1 - q||
-// comparing the distance of the true nearest neighbor p1* against the
-// searched nearest neighbor p1 for a query q. χ = 1 means the search is
-// exact; larger values mean the returned neighbor is farther than optimal.
-// (The paper uses this sampling procedure, from the original LSH study, to
-// pick R = 600 for Wuhan and R = 900 for Shanghai.)
-func Proximity(trueDist, searchedDist float64) float64 {
-	if trueDist <= 0 {
-		if searchedDist <= 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return searchedDist / trueDist
-}
-
 // EstimateR picks a radius R for LSH construction by sampling pairwise
 // nearest-neighbor distances in the dataset: it returns the given quantile
 // (e.g. 0.5 for the median) of each sample point's nearest-neighbor
@@ -67,24 +51,4 @@ func EstimateR(sample [][]float64, quantile float64) (float64, error) {
 		idx = len(nn) - 1
 	}
 	return nn[idx], nil
-}
-
-// Sensitivity evaluates the (R, cR, P1, P2) parameters of Definition 1 for
-// a single hash function of width omega: P1 = p(R) and P2 = p(cR). A valid
-// locality-sensitive family requires P1 > P2 for c > 1.
-func Sensitivity(r, c, omega float64) (p1, p2 float64) {
-	return CollisionProb(r, omega), CollisionProb(c*r, omega)
-}
-
-// AmplifiedProbs lifts the single-function probabilities through the
-// AND-OR construction of an (M, L) index: a table matches with p^M and at
-// least one of L tables matches with 1-(1-p^M)^L.
-func AmplifiedProbs(p float64, m, l int) float64 {
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	pm := math.Pow(p, float64(m))
-	return 1 - math.Pow(1-pm, float64(l))
 }

@@ -11,8 +11,13 @@
 //
 // Because false negatives hurt query accuracy more than false positives
 // (Section III-C2), Query can additionally probe the buckets adjacent to the
-// query's bucket in each table — the multi-probe extension the paper adopts
-// from Lv et al. (VLDB'07).
+// query's bucket in each table (Params.Probes) — the multi-probe of adjacent
+// buckets the paper adopts from Lv et al. (VLDB'07).
+//
+// The FAST engine does not use this family: it indexes summaries with the
+// Jaccard-space MinHash family (see MinHash for why). The p-stable Index,
+// with and without multi-probe, runs in the ablation that compares the two
+// families on the engine's real summaries.
 package lsh
 
 import (
@@ -31,7 +36,7 @@ type Params struct {
 	M      int     // hash functions per table; 0 means 10 (paper)
 	Omega  float64 // bucket width ω; 0 means 0.85 (paper)
 	Seed   int64   // RNG seed for the hash family
-	Probes int     // adjacent buckets probed per coordinate per table (multi-probe); 0 disables
+	Probes int     // leading signature coordinates probed at ±1 per table (multi-probe); 0 disables
 }
 
 func (p Params) withDefaults() Params {
@@ -71,7 +76,6 @@ type table struct {
 type Index struct {
 	params Params
 	tables []*table
-	n      int
 }
 
 // New constructs an LSH index. It returns an error for invalid dimensions.
@@ -98,12 +102,6 @@ func New(params Params) (*Index, error) {
 	}
 	return idx, nil
 }
-
-// Params returns the effective (defaulted) parameters.
-func (idx *Index) Params() Params { return idx.params }
-
-// Len returns the number of inserted items.
-func (idx *Index) Len() int { return idx.n }
 
 // signature computes the M-coordinate bucket signature of v in table t.
 func (tb *table) signature(v []float64, omega float64) []int64 {
@@ -142,7 +140,6 @@ func (idx *Index) Insert(id ItemID, v []float64) error {
 		k := keyOf(tb.signature(v, idx.params.Omega))
 		tb.buckets[k] = append(tb.buckets[k], id)
 	}
-	idx.n++
 	return nil
 }
 
@@ -191,39 +188,4 @@ type BucketStats struct {
 	MaxLen    int
 	MeanLen   float64
 	TotalRefs int
-}
-
-// Stats aggregates occupancy over all tables.
-func (idx *Index) Stats() BucketStats {
-	var st BucketStats
-	for _, tb := range idx.tables {
-		for _, b := range tb.buckets {
-			st.Buckets++
-			st.TotalRefs += len(b)
-			if len(b) > st.MaxLen {
-				st.MaxLen = len(b)
-			}
-		}
-	}
-	if st.Buckets > 0 {
-		st.MeanLen = float64(st.TotalRefs) / float64(st.Buckets)
-	}
-	return st
-}
-
-// CollisionProb returns the theoretical single-function collision
-// probability p(c) for two points at l2 distance c under a 2-stable hash
-// with width omega (Datar et al., eq. for the Gaussian case):
-//
-//	p(c) = 1 - 2Φ(-ω/c) - (2c / (√(2π) ω)) (1 - e^{-ω²/(2c²)})
-//
-// For c = 0 it returns 1. It is monotonically decreasing in c, which is the
-// (R, cR, P1, P2)-sensitivity property of Definition 1.
-func CollisionProb(c, omega float64) float64 {
-	if c <= 0 {
-		return 1
-	}
-	r := omega / c
-	phi := 0.5 * (1 + math.Erf(-r/math.Sqrt2)) // Φ(-ω/c)
-	return 1 - 2*phi - (2/(math.Sqrt(2*math.Pi)*r))*(1-math.Exp(-r*r/2))
 }

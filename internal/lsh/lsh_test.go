@@ -17,7 +17,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	p := idx.Params()
+	p := idx.params
 	if p.L != 7 || p.M != 10 || p.Omega != 0.85 {
 		t.Errorf("defaults = L%d M%d ω%v, want paper values 7/10/0.85", p.L, p.M, p.Omega)
 	}
@@ -73,9 +73,6 @@ func TestLocalityAwareGrouping(t *testing.T) {
 		if err := idx.Insert(ItemID(1000+i), v); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if idx.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", idx.Len())
 	}
 	q := cluster(rng, centerA, 1, 0.01)[0]
 	got, err := idx.Query(q)
@@ -170,66 +167,6 @@ func TestMultiProbeFindsMoreCandidates(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	idx, _ := New(Params{Dim: 4, Seed: 1})
-	st := idx.Stats()
-	if st.Buckets != 0 || st.TotalRefs != 0 {
-		t.Errorf("fresh index stats = %+v", st)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i, v := range cluster(rng, make([]float64, 4), 50, 1) {
-		_ = idx.Insert(ItemID(i), v)
-	}
-	st = idx.Stats()
-	if st.TotalRefs != 50*idx.Params().L {
-		t.Errorf("TotalRefs = %d, want %d", st.TotalRefs, 50*idx.Params().L)
-	}
-	if st.MaxLen < 1 || st.MeanLen <= 0 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestCollisionProbMonotone(t *testing.T) {
-	if p := CollisionProb(0, 0.85); p != 1 {
-		t.Errorf("p(0) = %v, want 1", p)
-	}
-	prev := 1.0
-	for _, c := range []float64{0.1, 0.5, 1, 2, 5, 10, 50} {
-		p := CollisionProb(c, 0.85)
-		if p < 0 || p > 1 {
-			t.Fatalf("p(%v) = %v out of range", c, p)
-		}
-		if p > prev+1e-12 {
-			t.Fatalf("collision probability not decreasing at c=%v: %v > %v", c, p, prev)
-		}
-		prev = p
-	}
-}
-
-func TestSensitivityDefinition(t *testing.T) {
-	// Definition 1 requires P1 > P2 for c > 1.
-	p1, p2 := Sensitivity(1.0, 2.0, 0.85)
-	if p1 <= p2 {
-		t.Errorf("P1 = %v <= P2 = %v; family is not (R, cR, P1, P2)-sensitive", p1, p2)
-	}
-}
-
-func TestAmplifiedProbs(t *testing.T) {
-	// Amplification must widen the P1/P2 gap.
-	p1, p2 := Sensitivity(1.0, 2.0, 0.85)
-	a1 := AmplifiedProbs(p1, 10, 7)
-	a2 := AmplifiedProbs(p2, 10, 7)
-	if a1/a2 <= p1/p2 {
-		t.Errorf("amplification did not widen gap: %v/%v vs %v/%v", a1, a2, p1, p2)
-	}
-	if AmplifiedProbs(1.5, 2, 2) != 1 {
-		t.Error("p > 1 should clamp to 1")
-	}
-	if AmplifiedProbs(-0.5, 2, 2) != 0 {
-		t.Error("p < 0 should clamp to 0")
-	}
-}
-
 func TestEstimateR(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	sample := cluster(rng, make([]float64, 6), 60, 1)
@@ -262,21 +199,6 @@ func TestEstimateRErrors(t *testing.T) {
 	}
 	if _, err := EstimateR([][]float64{{1}, {1, 2}}, 0.5); err == nil {
 		t.Error("incomparable samples should fail")
-	}
-}
-
-func TestProximity(t *testing.T) {
-	if chi := Proximity(2, 2); chi != 1 {
-		t.Errorf("exact search χ = %v, want 1", chi)
-	}
-	if chi := Proximity(1, 3); chi != 3 {
-		t.Errorf("χ = %v, want 3", chi)
-	}
-	if chi := Proximity(0, 0); chi != 1 {
-		t.Errorf("degenerate χ = %v, want 1", chi)
-	}
-	if chi := Proximity(0, 1); !math.IsInf(chi, 1) {
-		t.Errorf("χ with zero true distance = %v, want +Inf", chi)
 	}
 }
 

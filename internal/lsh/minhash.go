@@ -1,9 +1,6 @@
 package lsh
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // MinHash is the Jaccard-space LSH family: the collision probability of a
 // single min-wise hash equals the Jaccard similarity of the input sets
@@ -37,8 +34,7 @@ type MinHash struct {
 	seeds  [][]uint64            // [band][row]
 	shards []map[uint64][]ItemID // [band*minhashShards + shard]
 	dirty  []bool                // parallel to shards: mutated since the last Snapshot
-	n      int
-	snap   *View // the last Snapshot; unmarked shards are shared with the next
+	snap   *View                 // the last Snapshot; unmarked shards are shared with the next
 }
 
 // minhashShards is the number of copy-on-write shards per band (a power of
@@ -110,9 +106,6 @@ func splitmix(x uint64) uint64 {
 // Params returns the effective parameters.
 func (mh *MinHash) Params() MinHashParams { return mh.params }
 
-// Len returns the number of inserted items.
-func (mh *MinHash) Len() int { return mh.n }
-
 // shardIndex locates the shard of a band's bucket key: the key's high bits,
 // which the bucket maps' own hashing does not depend on.
 func shardIndex(band int, key uint64) int {
@@ -171,7 +164,6 @@ func (mh *MinHash) Insert(id ItemID, set []uint32) error {
 		mh.shards[s][k] = append(mh.shards[s][k], id)
 		mh.dirty[s] = true
 	}
-	mh.n++
 	return nil
 }
 
@@ -223,39 +215,4 @@ func MinHashCollisionProb(j float64, params MinHashParams) float64 {
 		q *= 1 - pm
 	}
 	return 1 - q
-}
-
-// EstimateJaccard estimates the Jaccard similarity of two sets from their
-// min-hash signatures over n independent hash functions (used by tests and
-// diagnostics).
-func EstimateJaccard(a, b []uint32, n int, seed int64) float64 {
-	if len(a) == 0 || len(b) == 0 || n <= 0 {
-		return 0
-	}
-	state := uint64(seed)*0x9e3779b97f4a7c15 + 7
-	match := 0
-	for i := 0; i < n; i++ {
-		state = splitmix(state)
-		minA, minB := ^uint64(0), ^uint64(0)
-		for _, el := range a {
-			if h := splitmix(uint64(el) ^ state); h < minA {
-				minA = h
-			}
-		}
-		for _, el := range b {
-			if h := splitmix(uint64(el) ^ state); h < minB {
-				minB = h
-			}
-		}
-		if minA == minB {
-			match++
-		}
-	}
-	return float64(match) / float64(n)
-}
-
-// SortIDs orders item IDs ascending (helper for deterministic diagnostics
-// and tests).
-func SortIDs(ids []ItemID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

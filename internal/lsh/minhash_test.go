@@ -64,8 +64,8 @@ func TestMinHashIdenticalSetsAlwaysCollide(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if mh.Len() != 50 {
-		t.Fatalf("Len = %d", mh.Len())
+	if refs := mh.Stats().TotalRefs; refs != 50*mh.Params().Bands {
+		t.Fatalf("%d bucket refs, want one per band for each of 50 sets", refs)
 	}
 	for i, s := range sets {
 		got, err := mh.Query(s)
@@ -168,30 +168,6 @@ func TestMinHashCollisionProbMonotone(t *testing.T) {
 	}
 	if MinHashCollisionProb(-5, params) != 0 || MinHashCollisionProb(5, params) != 1 {
 		t.Error("out-of-range j not clamped")
-	}
-}
-
-func TestEstimateJaccard(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	base := randomSet(rng, 200, 1000000)
-	variant := overlapSet(rng, base, 0.5, 1000000) // J = 0.5/1.5 = 0.333
-	est := EstimateJaccard(base, variant, 500, 11)
-	if math.Abs(est-1.0/3.0) > 0.08 {
-		t.Errorf("estimated J = %v, want ~0.333", est)
-	}
-	if EstimateJaccard(nil, base, 10, 1) != 0 {
-		t.Error("empty set estimate should be 0")
-	}
-	if est := EstimateJaccard(base, base, 100, 2); est != 1 {
-		t.Errorf("self estimate = %v, want 1", est)
-	}
-}
-
-func TestSortIDs(t *testing.T) {
-	ids := []ItemID{5, 1, 3}
-	SortIDs(ids)
-	if ids[0] != 1 || ids[1] != 3 || ids[2] != 5 {
-		t.Errorf("SortIDs = %v", ids)
 	}
 }
 

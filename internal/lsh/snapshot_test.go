@@ -41,7 +41,7 @@ func TestMinHashSnapshotCopiesMarkedShardsOnce(t *testing.T) {
 	if got := shardPtrs(mh.Snapshot()); !reflect.DeepEqual(got, shardPtrs(v1)) {
 		t.Fatal("a snapshot with no mutation in between copied a shard")
 	}
-	before, err := v1.Query(sets[0])
+	before, err := v1.AppendQuery(nil, nil, sets[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestMinHashSnapshotCopiesMarkedShardsOnce(t *testing.T) {
 	}
 
 	// Snapshot isolation, and the new snapshot tracks the live index.
-	after, err := v1.Query(sets[0])
+	after, err := v1.AppendQuery(nil, nil, sets[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestMinHashSnapshotCopiesMarkedShardsOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frozen, err := v2.Query(set)
+		frozen, err := v2.AppendQuery(nil, nil, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestMinHashShardedConcurrent(t *testing.T) {
 			for !stop.Load() {
 				v := published.Load()
 				set := randomSet(rng, 48, 4096)
-				if _, err := v.Query(set); err != nil {
+				if _, err := v.AppendQuery(nil, nil, set); err != nil {
 					t.Error(err)
 					return
 				}
@@ -158,8 +158,8 @@ func TestMinHashShardedConcurrent(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if got := mh.Len(); got != 200 {
-		t.Errorf("Len = %d after churn, want 200", got)
+	if refs := mh.Stats().TotalRefs; refs != 200*mh.Params().Bands {
+		t.Errorf("%d bucket refs after churn, want one per band for each of 200 items", refs)
 	}
 }
 

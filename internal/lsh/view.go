@@ -40,16 +40,11 @@ func (mh *MinHash) Snapshot() *View {
 	return v
 }
 
-// Query returns the distinct candidates colliding with the set in any band,
-// in first-seen order — the same traversal the live MinHash.Query performs.
-func (v *View) Query(set []uint32) ([]ItemID, error) {
-	return v.AppendQuery(nil, nil, set)
-}
-
-// AppendQuery is Query with caller-owned scratch: candidates are appended
-// to dst and deduplicated through seen (cleared by the callee when non-nil,
-// allocated otherwise). Pooling both across queries keeps the hot read path
-// allocation-free.
+// AppendQuery appends the distinct candidates colliding with the set in any
+// band to dst, in first-seen order — the same traversal the live
+// MinHash.Query performs. Candidates are deduplicated through seen (cleared
+// by the callee when non-nil, allocated otherwise); pooling dst and seen
+// across queries keeps the hot read path allocation-free.
 func (v *View) AppendQuery(dst []ItemID, seen map[ItemID]struct{}, set []uint32) ([]ItemID, error) {
 	if len(set) == 0 {
 		return dst, fmt.Errorf("lsh: cannot minhash an empty set")

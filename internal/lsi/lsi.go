@@ -58,16 +58,6 @@ func Build(ids []uint64, vectors [][]float64, k int) (*Index, error) {
 	return idx, nil
 }
 
-// Len returns the number of indexed documents.
-func (ix *Index) Len() int { return len(ix.ids) }
-
-// K returns the concept-space dimensionality.
-func (ix *Index) K() int { return ix.pca.OutputDim }
-
-// Explained returns the fraction of corpus variance the concept space
-// captures.
-func (ix *Index) Explained() float64 { return ix.pca.TotalExplained() }
-
 // Result is one correlation hit.
 type Result struct {
 	ID     uint64
@@ -101,32 +91,4 @@ func (ix *Index) Query(vector []float64, topK int) ([]Result, error) {
 		out = out[:topK]
 	}
 	return out, nil
-}
-
-// Group clusters the corpus greedily in concept space: documents within
-// cosine >= threshold of a group's seed join that group (SmartStore's
-// semantic grouping of correlated files). Groups are returned largest
-// first; every document lands in exactly one group.
-func (ix *Index) Group(threshold float64) [][]uint64 {
-	assigned := make([]bool, len(ix.docs))
-	var groups [][]uint64
-	for i := range ix.docs {
-		if assigned[i] {
-			continue
-		}
-		group := []uint64{ix.ids[i]}
-		assigned[i] = true
-		for j := i + 1; j < len(ix.docs); j++ {
-			if assigned[j] {
-				continue
-			}
-			if ix.docs[i].Dot(ix.docs[j]) >= threshold {
-				group = append(group, ix.ids[j])
-				assigned[j] = true
-			}
-		}
-		groups = append(groups, group)
-	}
-	sort.Slice(groups, func(a, b int) bool { return len(groups[a]) > len(groups[b]) })
-	return groups
 }

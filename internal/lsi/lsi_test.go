@@ -51,10 +51,10 @@ func TestQueryFindsTopicMates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if ix.Len() != 150 || ix.K() != 5 {
-		t.Fatalf("Len/K = %d/%d", ix.Len(), ix.K())
+	if len(ix.ids) != 150 || ix.pca.OutputDim != 5 {
+		t.Fatalf("docs/K = %d/%d", len(ix.ids), ix.pca.OutputDim)
 	}
-	if ex := ix.Explained(); ex < 0.8 {
+	if ex := ix.pca.TotalExplained(); ex < 0.8 {
 		t.Errorf("concept space explains only %.2f of variance", ex)
 	}
 	// Querying with a document's own vector should return topic mates.
@@ -90,59 +90,5 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if _, err := ix.Query([]float64{1, 2}, 3); err == nil {
 		t.Error("dimension mismatch should fail")
-	}
-}
-
-func TestGroupRecoversTopics(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ids, vecs, topicOf := topicCorpus(rng, 4, 25, 12)
-	ix, err := Build(ids, vecs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := ix.Group(0.8)
-	// Every document appears exactly once.
-	seen := map[uint64]bool{}
-	total := 0
-	for _, g := range groups {
-		for _, id := range g {
-			if seen[id] {
-				t.Fatalf("document %d in two groups", id)
-			}
-			seen[id] = true
-			total++
-		}
-	}
-	if total != len(ids) {
-		t.Fatalf("groups cover %d/%d documents", total, len(ids))
-	}
-	// The four largest groups should be topic-pure and large.
-	if len(groups) < 4 {
-		t.Fatalf("only %d groups", len(groups))
-	}
-	for gi, g := range groups[:4] {
-		if len(g) < 15 {
-			t.Errorf("group %d has only %d members", gi, len(g))
-			continue
-		}
-		counts := map[int]int{}
-		for _, id := range g {
-			counts[topicOf[id]]++
-		}
-		best := 0
-		for _, c := range counts {
-			if c > best {
-				best = c
-			}
-		}
-		if purity := float64(best) / float64(len(g)); purity < 0.9 {
-			t.Errorf("group %d purity %.2f", gi, purity)
-		}
-	}
-	// Groups sorted largest first.
-	for i := 1; i < len(groups); i++ {
-		if len(groups[i]) > len(groups[i-1]) {
-			t.Fatal("groups not sorted by size")
-		}
 	}
 }

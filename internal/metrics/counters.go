@@ -12,8 +12,5 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.n.Add(1) }
 
-// Add adds delta.
-func (c *Counter) Add(delta int64) { c.n.Add(delta) }
-
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.n.Load() }

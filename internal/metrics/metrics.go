@@ -28,13 +28,6 @@ func (l *Latency) Record(d time.Duration) {
 	l.samples = append(l.samples, d)
 }
 
-// Count returns the number of samples.
-func (l *Latency) Count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.samples)
-}
-
 // Summary holds order statistics of a latency distribution.
 type Summary struct {
 	Count         int
@@ -123,15 +116,6 @@ func (r Retrieval) Precision() float64 {
 		return 1
 	}
 	return float64(r.TruePositives) / float64(denom)
-}
-
-// F1 returns the harmonic mean of precision and recall.
-func (r Retrieval) F1() float64 {
-	p, rec := r.Precision(), r.Recall()
-	if p+rec == 0 {
-		return 0
-	}
-	return 2 * p * rec / (p + rec)
 }
 
 // Accuracy is an accumulating mean of per-query recalls; Table III reports

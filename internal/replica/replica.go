@@ -10,38 +10,29 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/fastrepro/fast/internal/client"
 	"github.com/fastrepro/fast/internal/core"
 	"github.com/fastrepro/fast/internal/placement"
 	"github.com/fastrepro/fast/internal/server"
-	"github.com/fastrepro/fast/internal/store"
 )
 
 // Fetcher implements server.PeerFetcher over fastd clients: it retrieves
-// a peer shard's current index as a point-in-time engine. The preferred
-// transport is the PR 7 chunk-diff catch-up — the peer persists its
-// engine, the fetcher syncs a local per-peer chunked scratch store
-// against it (transfer proportional to what changed since the last fetch
-// from that peer), and reloads the payload. Peers without a persistent
-// snapshot store (no -final-snapshot) fall back to the streaming
-// /v1/snapshot, which is always available.
+// a peer shard's current index as a point-in-time engine by streaming the
+// peer's hot snapshot over GET /v1/snapshot. Every fastd serves that
+// endpoint, and it only reads the peer's state: a migration never writes a
+// peer's persistent snapshot generations.
 type Fetcher struct {
 	// Resolve maps a shard index to its client. Indexes follow the
 	// placement ring's shard numbers.
 	Resolve func(shard int) (*client.Client, error)
-	// ScratchDir hosts the per-peer chunked scratch stores. "" disables
-	// the chunk-diff path entirely (streaming only).
-	ScratchDir string
 }
 
 // NewFetcher builds a Fetcher over a static peer URL list (fastd's
 // -peers flag). URLs are indexed by shard number; this shard's own slot
 // is never resolved (a shard does not fetch from itself).
-func NewFetcher(peerURLs []string, scratchDir string, opts ...client.Option) *Fetcher {
+func NewFetcher(peerURLs []string, opts ...client.Option) *Fetcher {
 	return &Fetcher{
 		Resolve: func(shard int) (*client.Client, error) {
 			if shard < 0 || shard >= len(peerURLs) || peerURLs[shard] == "" {
@@ -49,7 +40,6 @@ func NewFetcher(peerURLs []string, scratchDir string, opts ...client.Option) *Fe
 			}
 			return client.New(peerURLs[shard], opts...), nil
 		},
-		ScratchDir: scratchDir,
 	}
 }
 
@@ -62,43 +52,8 @@ func (f *Fetcher) FetchEngine(ctx context.Context, shard int) (*core.Engine, err
 	if err != nil {
 		return nil, err
 	}
-	if f.ScratchDir != "" {
-		eng, err := f.fetchChunked(ctx, shard, c)
-		if err == nil {
-			return eng, nil
-		}
-		// The chunk path needs the peer to have a generation store; fall
-		// through to the streaming snapshot on any failure — correctness
-		// first, transfer efficiency second.
-	}
-	return f.fetchStreaming(ctx, c)
-}
-
-// fetchChunked syncs the per-peer scratch store against the peer's
-// freshly saved snapshot (chunk diff only) and reloads it.
-func (f *Fetcher) fetchChunked(ctx context.Context, shard int, c *client.Client) (*core.Engine, error) {
-	if _, err := c.SnapshotSave(ctx); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(f.ScratchDir, 0o755); err != nil {
-		return nil, err
-	}
-	path := filepath.Join(f.ScratchDir, fmt.Sprintf("peer%d.fast", shard))
-	g := &store.Generations{Path: path, Keep: 2, Chunked: true}
-	if _, err := c.CatchUp(ctx, g); err != nil {
-		return nil, err
-	}
-	r, err := store.OpenPayload(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return core.ReadEngine(r)
-}
-
-// fetchStreaming pulls the peer's hot snapshot over /v1/snapshot.
-func (f *Fetcher) fetchStreaming(ctx context.Context, c *client.Client) (*core.Engine, error) {
 	pr, pw := io.Pipe()
+	defer pr.Close() // unblocks the writer if ReadEngine stops early
 	go func() {
 		_, err := c.Snapshot(ctx, pw)
 		pw.CloseWithError(err)

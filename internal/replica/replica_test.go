@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +22,7 @@ import (
 	"github.com/fastrepro/fast/internal/router"
 	"github.com/fastrepro/fast/internal/server"
 	"github.com/fastrepro/fast/internal/simimg"
+	"github.com/fastrepro/fast/internal/store"
 	"github.com/fastrepro/fast/internal/workload"
 )
 
@@ -49,6 +54,78 @@ func cloneEngine(t *testing.T, union []byte) *core.Engine {
 		t.Fatal(err)
 	}
 	return eng
+}
+
+// TestFetchEngineLeavesPeerStoreUntouched pins the ring-migration fetch
+// transport: FetchEngine streams the peer's GET /v1/snapshot and returns an
+// engine that serializes to the peer's exact bytes, while the peer's
+// persistent generation store stays byte-for-byte as it was. The peer
+// serves exactly one snapshot; a persist-then-diff fetch would also have
+// counted a /v1/snapshot/save.
+func TestFetchEngineLeavesPeerStoreUntouched(t *testing.T) {
+	ds := testCorpus(t)
+	peer := buildUnion(t, ds)
+	dir := t.TempDir()
+	gens := &store.Generations{Path: filepath.Join(dir, "peer.fast"), Chunked: true}
+	if _, err := gens.WriteSnapshot(peer); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Engine: peer, Snapshots: gens})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	ctx := context.Background()
+	pc := client.New(hs.URL)
+
+	files := func() map[string]string {
+		t.Helper()
+		out := map[string]string{}
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			out[path] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	filesBefore := files()
+	statsBefore, err := pc.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := NewFetcher([]string{hs.URL}).FetchEngine(ctx, 0)
+	if err != nil {
+		t.Fatalf("FetchEngine: %v", err)
+	}
+	var want, have bytes.Buffer
+	if _, err := peer.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := got.WriteTo(&have); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(have.Bytes(), want.Bytes()) {
+		t.Fatalf("fetched engine serializes to %d bytes that differ from the peer's %d", have.Len(), want.Len())
+	}
+
+	if filesAfter := files(); !reflect.DeepEqual(filesAfter, filesBefore) {
+		t.Fatalf("fetch changed the peer's generation store: %d files before, %d after", len(filesBefore), len(filesAfter))
+	}
+	statsAfter, err := pc.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := statsAfter.Snapshots - statsBefore.Snapshots; n != 1 {
+		t.Fatalf("peer served %d snapshots for one fetch, want 1 (the stream)", n)
+	}
 }
 
 // TestSubsetKeepsReplicaCopies is the regression test for the fastd

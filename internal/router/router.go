@@ -282,15 +282,6 @@ func (rt *Router) Close() {
 	})
 }
 
-// Ring exposes the current placement ring (the HTTP layer reports its
-// epoch and fingerprint in /v1/stats so operators can verify ring
-// agreement).
-func (rt *Router) Ring() *placement.Ring {
-	rt.ringMu.RLock()
-	defer rt.ringMu.RUnlock()
-	return rt.ring
-}
-
 // ringState snapshots the placement state one operation runs under.
 func (rt *Router) ringState() (cur *placement.Ring, n int, next *placement.Ring, nn int) {
 	rt.ringMu.RLock()

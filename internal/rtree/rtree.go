@@ -40,11 +40,6 @@ func (r Rect) Intersects(s Rect) bool {
 	return r.MinX <= s.MaxX && s.MinX <= r.MaxX && r.MinY <= s.MaxY && s.MinY <= r.MaxY
 }
 
-// Contains reports whether r fully contains s.
-func (r Rect) Contains(s Rect) bool {
-	return r.MinX <= s.MinX && r.MinY <= s.MinY && r.MaxX >= s.MaxX && r.MaxY >= s.MaxY
-}
-
 // enlargement returns the area growth of r needed to cover s.
 func (r Rect) enlargement(s Rect) float64 { return r.Union(s).Area() - r.Area() }
 
@@ -94,18 +89,6 @@ func New(minEntries, maxEntries int) (*Tree, error) {
 		minEntries: minEntries,
 		maxEntries: maxEntries,
 	}, nil
-}
-
-// Len returns the number of stored entries.
-func (t *Tree) Len() int { return t.size }
-
-// Height returns the tree height (1 for a single leaf).
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
 }
 
 // Insert adds an entry. It returns an error for malformed rectangles.

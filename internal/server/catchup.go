@@ -8,12 +8,12 @@ import (
 	"github.com/fastrepro/fast/internal/store"
 )
 
-// Replica catch-up endpoints. A replica recovering from (or cold-starting
+// Replica catch-up endpoint. A replica recovering from (or cold-starting
 // into) a cluster does not need the whole snapshot from its primary — only
 // the chunks its local content-addressed store is missing. The protocol is
-// replica-driven:
+// replica-driven: the replica reads its own chunk set locally
+// (store.Generations.LiveChunkIDs) and asks for the rest:
 //
-//	GET  /v1/snapshot/chunks  → the chunk IDs this server's store holds
 //	POST /v1/snapshot/fetch   → body {have: [hex ids]}; response is a
 //	                            FASTDLT1 delta stream (manifest + chunks
 //	                            not in have) for the newest generation
@@ -22,36 +22,6 @@ import (
 // which lands chunks durably one at a time and publishes the manifest only
 // once complete — so an interrupted transfer costs nothing but the bytes
 // already moved, and the retry is automatically diff-only.
-
-// handleSnapshotChunks reports the chunk-ID inventory of the persistent
-// store. A replica calls this on its *own* store locally (via
-// store.Generations.LiveChunkIDs); the endpoint exists so operators and
-// the CI smoke can inspect a node's chunk set remotely, and so a future
-// primary-driven push has a discovery path.
-func (s *Server) handleSnapshotChunks(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if s.cfg.Snapshots == nil {
-		writeError(w, http.StatusNotImplemented, "server has no persistent snapshot store (start fastd with -final-snapshot)")
-		return
-	}
-	ids, err := s.cfg.Snapshots.LiveChunkIDs()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "scanning chunk store: %v", err)
-		return
-	}
-	resp := ChunkSetResponse{Chunked: s.cfg.Snapshots.Chunked, Chunks: make([]string, len(ids))}
-	for i, id := range ids {
-		resp.Chunks[i] = id.String()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
 
 // handleSnapshotFetch streams a delta for the newest persisted generation:
 // its manifest plus every chunk not in the request's have-list. Like the

@@ -25,9 +25,9 @@ import (
 //
 //	prepare   The shard validates the pending ring (epoch must advance),
 //	          adopts it as pending, and starts a background acquire: it
-//	          fetches every peer's index (via the chunk-diff catch-up
-//	          where available) and InsertSummary-adopts each entry it
-//	          will own under the pending ring but does not yet hold.
+//	          fetches every peer's index (a streamed snapshot) and
+//	          InsertSummary-adopts each entry it will own under the
+//	          pending ring but does not yet hold.
 //	          The current ring keeps serving; acquired entries are
 //	          duplicates other owners still hold, so answers are
 //	          unchanged (the router's merge dedups identical entries).
@@ -52,10 +52,9 @@ import (
 // shard/ring-install and shard/migrate failpoints.
 
 // PeerFetcher retrieves another shard's current index as a point-in-time
-// engine. internal/replica provides the client-backed implementation
-// (chunk-diff catch-up into a scratch store, falling back to a streaming
-// snapshot); it lives outside this package because internal/client depends
-// on the server's wire types.
+// engine. internal/replica provides the client-backed implementation,
+// which streams the peer's GET /v1/snapshot; it lives outside this package
+// because internal/client depends on the server's wire types.
 type PeerFetcher interface {
 	FetchEngine(ctx context.Context, shard int) (*core.Engine, error)
 }

@@ -165,9 +165,6 @@ func (s *Server) swapEngine(e *core.Engine) {
 // check first.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close does nothing: the server owns no goroutine or resource beyond its
 // handlers. Kept only because the repository benchmark still defers it;
 // removed with the next benchmark change.
@@ -182,7 +179,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/delete", s.handleDelete)
 	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/v1/snapshot/save", s.handleSnapshotSave)
-	mux.HandleFunc("/v1/snapshot/chunks", s.handleSnapshotChunks)
 	mux.HandleFunc("/v1/snapshot/fetch", s.handleSnapshotFetch)
 	mux.HandleFunc("/v1/restore", s.handleRestore)
 	mux.HandleFunc("/v1/ring", s.handleRing)

@@ -102,13 +102,6 @@ type QueryResponse struct {
 	IndexEpoch uint64       `json:"index_epoch,omitempty"`
 }
 
-// ChunkSetResponse is the body of GET /v1/snapshot/chunks: the chunk-ID
-// inventory (hex SHA-256) of the server's persistent store.
-type ChunkSetResponse struct {
-	Chunked bool     `json:"chunked"`
-	Chunks  []string `json:"chunks"`
-}
-
 // FetchRequest is the body of POST /v1/snapshot/fetch: the chunk IDs the
 // caller already holds. The response is a binary FASTDLT1 delta stream
 // containing the newest generation's manifest plus every referenced chunk

@@ -28,89 +28,3 @@ func WritePGM(w io.Writer, im *Image) error {
 	}
 	return bw.Flush()
 }
-
-// ReadPGM decodes a binary PGM (P5) image into the float raster the
-// pipeline consumes. Maxval up to 255 is supported; comments (# lines) in
-// the header are accepted.
-func ReadPGM(r io.Reader) (*Image, error) {
-	br := bufio.NewReader(r)
-	magic, err := pgmToken(br)
-	if err != nil {
-		return nil, fmt.Errorf("simimg: pgm header: %w", err)
-	}
-	if magic != "P5" {
-		return nil, fmt.Errorf("simimg: unsupported magic %q (want P5)", magic)
-	}
-	w, err := pgmInt(br)
-	if err != nil {
-		return nil, fmt.Errorf("simimg: pgm width: %w", err)
-	}
-	h, err := pgmInt(br)
-	if err != nil {
-		return nil, fmt.Errorf("simimg: pgm height: %w", err)
-	}
-	maxv, err := pgmInt(br)
-	if err != nil {
-		return nil, fmt.Errorf("simimg: pgm maxval: %w", err)
-	}
-	if w <= 0 || h <= 0 || w*h > 1<<26 {
-		return nil, fmt.Errorf("simimg: unreasonable pgm dimensions %dx%d", w, h)
-	}
-	if maxv <= 0 || maxv > 255 {
-		return nil, fmt.Errorf("simimg: unsupported maxval %d", maxv)
-	}
-	buf := make([]byte, w*h)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("simimg: pgm pixels: %w", err)
-	}
-	im := New(w, h)
-	inv := 1 / float64(maxv)
-	for i, b := range buf {
-		im.Pix[i] = float64(b) * inv
-	}
-	return im, nil
-}
-
-// pgmToken reads the next whitespace-delimited token, skipping # comments.
-func pgmToken(br *bufio.Reader) (string, error) {
-	var tok []byte
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			if len(tok) > 0 && err == io.EOF {
-				return string(tok), nil
-			}
-			return "", err
-		}
-		switch {
-		case b == '#':
-			if _, err := br.ReadString('\n'); err != nil {
-				return "", err
-			}
-		case b == ' ' || b == '\t' || b == '\n' || b == '\r':
-			if len(tok) > 0 {
-				return string(tok), nil
-			}
-		default:
-			tok = append(tok, b)
-		}
-	}
-}
-
-func pgmInt(br *bufio.Reader) (int, error) {
-	tok, err := pgmToken(br)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, c := range tok {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("bad integer %q", tok)
-		}
-		n = n*10 + int(c-'0')
-		if n > 1<<30 {
-			return 0, fmt.Errorf("integer %q too large", tok)
-		}
-	}
-	return n, nil
-}

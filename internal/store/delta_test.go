@@ -253,7 +253,7 @@ func TestApplyDeltaRejectsCorruption(t *testing.T) {
 }
 
 // TestParseChunkIDRoundTrip covers the hex wire form used by
-// /v1/snapshot/chunks and /v1/snapshot/fetch.
+// /v1/snapshot/fetch.
 func TestParseChunkIDRoundTrip(t *testing.T) {
 	var id ChunkID
 	for i := range id {

@@ -23,17 +23,6 @@ func HDD7200() DiskModel {
 	}
 }
 
-// SSD returns a flash model: negligible seek, high transfer. The paper
-// remarks that flash alleviates but does not close the gap because index
-// structures without FAST's summarization do not fit.
-func SSD() DiskModel {
-	return DiskModel{
-		Seek:        60 * time.Microsecond,
-		Rotational:  0,
-		TransferBps: 500e6,
-	}
-}
-
 // RAM returns an in-memory "device": per-access overhead of ~100ns and
 // ~10 GB/s effective bandwidth, used to charge FAST's in-memory index work.
 func RAM() DiskModel {

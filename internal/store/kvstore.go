@@ -87,7 +87,6 @@ type SQLStore struct {
 	// CacheHitRatio in [0,1) lets a fraction of index-page reads hit the
 	// buffer pool for free; 0 models a cold cache.
 	CacheHitRatio float64
-	accesses      int64
 }
 
 // NewSQLStore returns a store backed by the given disk model. pageSize 0
@@ -131,7 +130,6 @@ func (s *SQLStore) Put(key uint64, size int64) time.Duration {
 	}
 	s.items[key] = size
 	s.total += size
-	s.accesses++
 	lat := time.Duration(s.chargedPages(depth) * float64(s.disk.RandomRead(s.pageSize)))
 	return lat + s.disk.RandomWrite(size)
 }
@@ -141,7 +139,6 @@ func (s *SQLStore) Get(key uint64) (int64, bool, time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	depth := s.indexDepth()
-	s.accesses++
 	lat := time.Duration(s.chargedPages(depth) * float64(s.disk.RandomRead(s.pageSize)))
 	size, ok := s.items[key]
 	if !ok {
@@ -162,13 +159,6 @@ func (s *SQLStore) TotalBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.total
-}
-
-// Accesses returns the number of Put/Get calls served.
-func (s *SQLStore) Accesses() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.accesses
 }
 
 var (

@@ -53,11 +53,10 @@ func TestSimClockConcurrent(t *testing.T) {
 }
 
 func TestDiskModelOrdering(t *testing.T) {
-	hdd, ssd, ram := HDD7200(), SSD(), RAM()
+	hdd, ram := HDD7200(), RAM()
 	const size = 64 * 1024
-	if !(hdd.RandomRead(size) > ssd.RandomRead(size) && ssd.RandomRead(size) > ram.RandomRead(size)) {
-		t.Errorf("device ordering violated: hdd %v ssd %v ram %v",
-			hdd.RandomRead(size), ssd.RandomRead(size), ram.RandomRead(size))
+	if hdd.RandomRead(size) <= ram.RandomRead(size) {
+		t.Errorf("device ordering violated: hdd %v ram %v", hdd.RandomRead(size), ram.RandomRead(size))
 	}
 	// Sequential reads avoid positioning.
 	if hdd.SequentialRead(size) >= hdd.RandomRead(size) {
@@ -124,9 +123,6 @@ func TestSQLStoreChargesMoreThanMem(t *testing.T) {
 	if sqlGet <= memGet {
 		t.Errorf("SQL get %v not slower than mem get %v", sqlGet, memGet)
 	}
-	if sql.Accesses() != 2 {
-		t.Errorf("Accesses = %d, want 2", sql.Accesses())
-	}
 }
 
 func TestSQLStoreIndexDepthGrows(t *testing.T) {
@@ -161,7 +157,7 @@ func TestSQLStoreValidation(t *testing.T) {
 }
 
 func TestSQLStoreOverwrite(t *testing.T) {
-	sql, _ := NewSQLStore(SSD(), 4096)
+	sql, _ := NewSQLStore(HDD7200(), 4096)
 	sql.Put(5, 100)
 	sql.Put(5, 300)
 	if sql.TotalBytes() != 300 || sql.Len() != 1 {
@@ -173,7 +169,7 @@ func TestKVInterfaceContract(t *testing.T) {
 	// Both stores must satisfy the same behavioural contract.
 	for name, kv := range map[string]KV{
 		"mem": NewMemStore(),
-		"sql": func() KV { s, _ := NewSQLStore(SSD(), 0); return s }(),
+		"sql": func() KV { s, _ := NewSQLStore(HDD7200(), 0); return s }(),
 	} {
 		t.Run(name, func(t *testing.T) {
 			if kv.Len() != 0 || kv.TotalBytes() != 0 {

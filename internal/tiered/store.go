@@ -262,9 +262,6 @@ func (s *Store) Options() Options { return s.opts }
 // View returns the current cold-tier snapshot for lock-free reading.
 func (s *Store) View() *View { return s.view.Load() }
 
-// Len is the live cold entry count.
-func (s *Store) Len() int { return s.view.Load().Len() }
-
 // Contains reports whether id is live in the cold tier.
 func (s *Store) Contains(id uint64) bool { return s.view.Load().Contains(id) }
 

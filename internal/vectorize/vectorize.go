@@ -85,9 +85,6 @@ func NewSchema(fields []Field) (*Schema, error) {
 	return s, nil
 }
 
-// Dim returns the output vector dimensionality.
-func (s *Schema) Dim() int { return s.dim }
-
 func fieldWidth(f Field) int {
 	switch f.Kind {
 	case Numeric, LogNumeric:

@@ -37,8 +37,8 @@ func TestDimLayout(t *testing.T) {
 		{Name: "mtime", Kind: Timestamp},
 		{Name: "name", Kind: Text, Dims: 32},
 	})
-	if s.Dim() != 1+16+4+32 {
-		t.Errorf("Dim = %d, want 53", s.Dim())
+	if s.dim != 1+16+4+32 {
+		t.Errorf("Dim = %d, want 53", s.dim)
 	}
 }
 
